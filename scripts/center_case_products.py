@@ -12,7 +12,7 @@ from itertools import combinations
 
 from setdirect.catalog import cyclic_product, exponent_index
 from setdirect.factor import verify_main_theorem
-from setdirect.groups import Subset, _ltrans, _product_mask, generated_subgroup
+from setdirect.groups import _ltrans, _product_mask, generated_subgroup
 
 
 def coset_reps_avoiding(z, h_mask, y_members):

@@ -50,8 +50,8 @@ from .groups import (
     SubgroupView,
     center,
     commutator_set,
+    central_product_embedding,
     conjugacy_classes,
-    external_central_product,
     generated_subgroup,
     group_from_permutations,
     group_from_table,
@@ -63,7 +63,6 @@ from .groups import (
 from .oracle import (
     EnumerationResult,
     SuiteReport,
-    enumerate_abelian_factorizations,
     enumerate_setdirect,
     find_normal_transversal,
     property_suite,

@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 from .errors import NotAGroup
 from .groups import (
+    DEFAULT_MAX_ORDER,
     GroupTable,
     central_product_embedding,
-    direct_product,
     group_from_permutations,
     group_from_table,
 )
@@ -227,7 +227,7 @@ def catalog_group(name: str) -> GroupTable:
     raise KeyError(f"unknown catalog group {name!r}")
 
 
-def group_from_json(obj, *, max_order: int = 20000) -> GroupTable:
+def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Build a group from the JSON group-specification format.
 
     Kinds: "permutations" (degree + generators), "table" (mult + labels),
@@ -248,7 +248,7 @@ def group_from_json(obj, *, max_order: int = 20000) -> GroupTable:
     raise NotAGroup(f"unknown group kind {kind!r}")
 
 
-def load_group(spec: str, *, max_order: int = 20000) -> GroupTable:
+def load_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Resolve a CLI group spec: a catalog name or a path to a JSON file."""
     path = Path(spec)
     if spec.endswith(".json") or path.is_file():

@@ -6,6 +6,7 @@ and the class-counting identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -20,15 +21,14 @@ from .groups import (
     Subset,
     _closure_mask,
     _is_subgroup_mask,
-    _ltrans,
     _product_mask,
+    _quotient,
     bits,
     center,
     commutator_set,
     conjugacy_classes,
     is_normal_subset,
     mask_of,
-    quotient_group,
 )
 
 DEFAULT_ENUMERATION_BOUND = 512
@@ -37,11 +37,24 @@ DEFAULT_ENUMERATION_BOUND = 512
 @dataclass(frozen=True)
 class CentralDecomposition:
     """A certified triple (M, N, Z): normal subgroups with MN = G, mutually
-    centralizing, and Z = M intersect N central in G."""
+    centralizing, and Z = M intersect N central in G.
+
+    Only is_central_product and enumerate_central_decompositions issue one.
+    The Z-orbits on the classes inside M and N are computed on first use and
+    kept for the life of the decomposition.
+    """
 
     m: Subset
     n: Subset
     z: Subset
+
+    @cached_property
+    def m_orbits(self) -> ZActionData:
+        return _z_orbits(self.z.group, self.m.mask, self.z.mask)
+
+    @cached_property
+    def n_orbits(self) -> ZActionData:
+        return _z_orbits(self.z.group, self.n.mask, self.z.mask)
 
 
 @dataclass(frozen=True)
@@ -63,13 +76,18 @@ def is_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductChe
     automatically central and the factors automatically normal, but all the
     conditions are checked independently so failures are attributed usefully.
     """
-    fail = lambda reason: CentralProductCheck(None, reason)
     for side in (M, N):
         if not _is_subgroup_mask(G, side.mask):
-            return fail("NotSubgroup")
+            return CentralProductCheck(None, "NotSubgroup")
     for side in (M, N):
         if not is_normal_subset(G, side):
-            return fail("NotNormal")
+            return CentralProductCheck(None, "NotNormal")
+    return _central_product(G, M, N)
+
+
+def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck:
+    """is_central_product for M, N already known to be normal subgroups."""
+    fail = lambda reason: CentralProductCheck(None, reason)
     if _product_mask(G, M.mask, N.mask) != G.full_mask:
         return fail("ProductNotG")
     zmask = M.mask & N.mask
@@ -80,13 +98,10 @@ def is_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductChe
     return CentralProductCheck(CentralDecomposition(M, N, Subset(G, zmask)), None)
 
 
-def normal_subgroups(G: GroupTable):
-    """All normal subgroups, via join-closure of class-generated subgroups."""
-    part = conjugacy_classes(G)
+def _join_closure(G: GroupTable, generators):
+    """All joins of the subgroups generated by each mask, sorted by size."""
     trivial = 1 << G.identity
-    base = {trivial}
-    for cls in part.classes:
-        base.add(_closure_mask(G, cls.mask | trivial))
+    base = {trivial} | {_closure_mask(G, m | trivial) for m in generators}
     found = set(base)
     frontier = set(base)
     while frontier:
@@ -103,6 +118,11 @@ def normal_subgroups(G: GroupTable):
     return [Subset(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
 
 
+def normal_subgroups(G: GroupTable):
+    """All normal subgroups, via join-closure of class-generated subgroups."""
+    return _join_closure(G, (cls.mask for cls in conjugacy_classes(G).classes))
+
+
 def minimal_normal_subgroups(G: GroupTable):
     """Minimal nontrivial normal subgroups."""
     trivial = 1 << G.identity
@@ -116,23 +136,7 @@ def minimal_normal_subgroups(G: GroupTable):
 
 def central_subgroups(G: GroupTable):
     """All subgroups of the center, by join-closure of cyclic subgroups."""
-    zmask = center(G).mask
-    trivial = 1 << G.identity
-    base = {trivial}
-    for z in bits(zmask):
-        base.add(_closure_mask(G, (1 << z) | trivial))
-    found = set(base)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for h in frontier:
-            for b in base:
-                j = _closure_mask(G, h | b)
-                if j not in found:
-                    found.add(j)
-                    new.add(j)
-        frontier = new
-    return [Subset(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
+    return _join_closure(G, (1 << z for z in bits(center(G).mask)))
 
 
 def enumerate_central_decompositions(
@@ -148,19 +152,13 @@ def enumerate_central_decompositions(
             f"decomposition enumeration bound {max_order} exceeded by {G.name}"
         )
     subs = normal_subgroups(G)
-    seen = set()
     out = []
     for i, M in enumerate(subs):
         for N in subs[i:]:
-            check = is_central_product(G, M, N)
-            if not check:
-                continue
             big, small = (M, N) if (len(M), M.mask) >= (len(N), N.mask) else (N, M)
-            key = (big.mask, small.mask)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(CentralDecomposition(big, small, check.decomposition.z))
+            check = _central_product(G, big, small)
+            if check:
+                out.append(check.decomposition)
     out.sort(key=lambda d: (len(d.m), d.m.mask, d.n.mask))
     return out
 
@@ -214,15 +212,17 @@ def z_orbits(G: GroupTable, N: Subset, Z: Subset) -> ZActionData:
             raise NotCentral("Z must be contained in the subgroup acted on")
     elif _product_mask(G, Z.mask, N.mask) != N.mask:
         raise NotNormal("normal subset is not closed under multiplication by Z")
+    return _z_orbits(G, N.mask, Z.mask)
 
+
+def _z_orbits(G: GroupTable, nmask: int, zmask: int) -> ZActionData:
+    """z_orbits for a normal subset N closed under a central subgroup Z."""
     part = conjugacy_classes(G)
-    inside = [
-        i for i, cls in enumerate(part.classes) if cls.mask & ~N.mask == 0
-    ]
+    inside = [i for i, cls in enumerate(part.classes) if cls.mask & ~nmask == 0]
     inside_set = set(inside)
     mult = G.mult
     class_of = part.class_of
-    zmem = Z.members()
+    zmem = tuple(bits(zmask))
     seen = set()
     orbits = []
     for start in inside:
@@ -242,12 +242,12 @@ def z_orbits(G: GroupTable, N: Subset, Z: Subset) -> ZActionData:
         seen |= orbit
         stabilizer = Subset(G, stab)
         internal_check(
-            len(orbit) * len(stabilizer) == len(Z),
+            len(orbit) * len(stabilizer) == len(zmem),
             "orbit-stabilizer identity failed",
         )
         orbits.append(ZOrbit(tuple(sorted(orbit)), stabilizer))
     orbits.sort(key=lambda o: o.classes[0])
-    return ZActionData(N, Z, tuple(orbits))
+    return ZActionData(Subset(G, nmask), Subset(G, zmask), tuple(orbits))
 
 
 def class_stabilizer(G: GroupTable, n: int, Z: Subset) -> Subset:
@@ -286,7 +286,7 @@ def z_bracket(G: GroupTable, K: Subset, Z: Subset):
         if all(G.mult[g][k] == G.mult[k][g] for k in bits(K.mask))
     )
     if _product_mask(G, K.mask, cent) == G.full_mask and Z.mask & ~K.mask == 0:
-        union = z_orbits(G, K, Z).stabilizer_union()
+        union = _z_orbits(G, K.mask, Z.mask).stabilizer_union()
         internal_check(
             union.mask == bracket,
             "bracket set does not match the union of orbit stabilizers",
@@ -297,7 +297,7 @@ def z_bracket(G: GroupTable, K: Subset, Z: Subset):
 def semi_regular_elements(G: GroupTable) -> Subset:
     """Central elements (except 1) fixing no conjugacy class by multiplication."""
     zc = center(G)
-    action = z_orbits(G, G.full_subset(), zc)
+    action = _z_orbits(G, G.full_mask, zc.mask)
     moved = zc.mask & ~action.stabilizer_union().mask
     return Subset(G, moved & ~(1 << G.identity))
 
@@ -326,9 +326,9 @@ def class_count_report(G: GroupTable, Z: Subset) -> ClassCountReport:
     _require_central_subgroup(G, Z)
     k_g = len(conjugacy_classes(G))
     k_z = len(Z)  # central subgroups are abelian
-    quo = quotient_group(G, Z)
+    quo, _ = _quotient(G, Z.mask)
     k_quotient = len(conjugacy_classes(quo))
-    action = z_orbits(G, G.full_subset(), Z)
+    action = _z_orbits(G, G.full_mask, Z.mask)
     orbit_count = len(action.orbits)
     internal_check(orbit_count == k_quotient, "orbit count differs from k(G/Z)")
     semiregular = action.is_semiregular()

@@ -15,14 +15,13 @@ import sys
 from . import __version__
 from .catalog import catalog_group, catalog_names, load_group
 from .central import (
-    class_count_report,
+    DEFAULT_ENUMERATION_BOUND,
     enumerate_central_decompositions,
     is_central_product,
     semi_regular_elements,
 )
 from .errors import GroupError, SearchSpaceTooLarge
 from .factor import (
-    FactorizationSystem,
     construct_from_system,
     cyclic_center_factorization,
     is_direct,
@@ -31,7 +30,7 @@ from .factor import (
     transversal_factorization,
     verify_main_theorem,
 )
-from .groups import GroupTable, Subset, center, conjugacy_classes, generated_subgroup
+from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, center, conjugacy_classes
 from .oracle import enumerate_setdirect, property_suite
 
 EXIT_OK = 0
@@ -43,9 +42,12 @@ def _max_order(args) -> int:
     env = os.environ.get("SETDIRECT_MAX_ORDER")
     if args.max_order is not None:
         return args.max_order
-    if env:
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
         return int(env)
-    return 20000
+    except ValueError:
+        raise GroupError(f"SETDIRECT_MAX_ORDER must be an integer, got {env!r}")
 
 
 def _load(args) -> GroupTable:
@@ -120,7 +122,11 @@ def cmd_info(args) -> int:
     G = _load(args)
     part = conjugacy_classes(G)
     zc = center(G)
-    decs = enumerate_central_decompositions(G) if G.order <= 512 else None
+    decs = (
+        enumerate_central_decompositions(G)
+        if G.order <= DEFAULT_ENUMERATION_BOUND
+        else None
+    )
     semi = semi_regular_elements(G)
     info = {
         "name": G.name,

@@ -10,7 +10,7 @@ slice factorizations of Z = M intersect N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -19,9 +19,11 @@ from .central import (
     ClassCountReport,
     ZActionData,
     ZOrbit,
+    _central_product,
+    _z_orbits,
     class_count_report,
     is_central_product,
-    z_orbits,
+    semi_regular_elements,
 )
 from .errors import (
     ContainmentViolated,
@@ -53,7 +55,6 @@ from .groups import (
     conjugacy_classes,
     generated_subgroup,
     is_normal_subset,
-    left_cosets,
     mask_of,
     set_product,
     subgroup_view,
@@ -111,7 +112,11 @@ def _check_normal_pair(G: GroupTable, X: Subset, Y: Subset) -> None:
 def is_direct(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
     """Evaluate all four directness criteria and assert they agree."""
     _check_normal_pair(G, X, Y)
+    return _directness(G, X, Y)
 
+
+def _directness(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
+    """is_direct for a nonempty normal pair already checked by the caller."""
     _, counts = set_product(G, X, Y)
     multiplicity_ok = all(c == 1 for c in counts.values())
 
@@ -175,7 +180,7 @@ def _slices(G: GroupTable, subgroup: Subset, part_mask: int, Z: Subset, z_centra
     inv, zm = G.inv, Z.mask
     out = {}
     if z_central:
-        for orbit in z_orbits(G, subgroup, Z).orbits:
+        for orbit in _z_orbits(G, subgroup.mask, Z.mask).orbits:
             m = part.classes[orbit.classes[0]].members()[0]
             out[m] = Subset(G, _ltrans(G, inv[m], part_mask) & zm)
         return out
@@ -201,7 +206,7 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     M = generated_subgroup(G, X)
     N = generated_subgroup(G, Y)
     Z = M & N
-    check = is_central_product(G, M, N)
+    check = _central_product(G, M, N)  # <X> and <Y> are normal subgroups
     condition_a = bool(check)
 
     z_is_central = Z.mask & ~center(G).mask == 0
@@ -229,7 +234,7 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
 
     product_is_group = _product_mask(G, X.mask, Y.mask) == G.full_mask
     verdict = condition_a and condition_b
-    direct = is_direct(G, X, Y).verdict
+    direct = _directness(G, X, Y).verdict
     internal_check(
         verdict == (direct and product_is_group),
         "verifier verdict disagrees with the definitional check",
@@ -266,10 +271,7 @@ def kernel(Zgrp: GroupTable, S: Subset) -> Subset:
         raise ValueError("subset belongs to a different group")
     if not S.mask:
         raise EmptySet("kernel of the empty set")
-    out = mask_of(
-        h for h in Zgrp.elements() if _ltrans(Zgrp, h, S.mask) == S.mask
-    )
-    return Subset(Zgrp, out)
+    return Subset(Zgrp, _kernel_within(Zgrp, Zgrp.full_mask, S.mask))
 
 
 def _kernel_within(G: GroupTable, zmask: int, smask: int) -> int:
@@ -411,8 +413,7 @@ def system_for_decomposition(
     stabilizers as the prescribed subgroups.  The A_i/B_j may be given either
     in the ambient group (contained in Z) or already in the view table."""
     view = subgroup_view(G, cp.z)
-    om = z_orbits(G, cp.m, cp.z)
-    on = z_orbits(G, cp.n, cp.z)
+    om, on = cp.m_orbits, cp.n_orbits
     if len(a_sets) != len(om.orbits) or len(b_sets) != len(on.orbits):
         raise SystemMismatch(
             f"need {len(om.orbits)} A-sets and {len(on.orbits)} B-sets"
@@ -447,8 +448,7 @@ def construct_from_system(
     with the orbit stabilizers as its subgroups; `choices` picks one class
     per orbit (defaults to the minimal class index).
     """
-    om = z_orbits(G, cp.m, cp.z)
-    on = z_orbits(G, cp.n, cp.z)
+    om, on = cp.m_orbits, cp.n_orbits
     view = sys.embedding
     if view is None or view.parent is not G or view.carrier.mask != cp.z.mask:
         raise SystemMismatch("system is not embedded over this decomposition's Z")
@@ -503,8 +503,7 @@ def derive_system(G: GroupTable, f: SetDirectFactorization):
     internal_check(bool(check), "certified factorization without central product")
     cp = check.decomposition
     part = conjugacy_classes(G)
-    om = z_orbits(G, cp.m, cp.z)
-    on = z_orbits(G, cp.n, cp.z)
+    om, on = cp.m_orbits, cp.n_orbits
 
     def side_sets(action, smask):
         out = []
@@ -542,7 +541,7 @@ def transversal_factorization(G: GroupTable, cp: CentralDecomposition) -> Transv
     The class-count identity k(N) = k(Z) k(N/Z) is evaluated on an explicit
     subgroup view of N either way.
     """
-    action = z_orbits(G, cp.n, cp.z)
+    action = cp.n_orbits
     nview = subgroup_view(G, cp.n)
     counts = class_count_report(nview.table, nview.pull(cp.z))
     one = 1 << G.identity
@@ -619,10 +618,8 @@ def cyclic_center_factorization(
     if comm_n.mask & Z.mask & ~_kernel_within(G, Z.mask, Y0.mask):
         raise HypothesisViolated("[N,N] intersect Z does not stabilize Y0")
 
-    om = z_orbits(G, cp.m, cp.z)
-    on = z_orbits(G, cp.n, cp.z)
     sys = system_for_decomposition(
-        G, cp, [X0] * len(om.orbits), [Y0] * len(on.orbits)
+        G, cp, [X0] * len(cp.m_orbits.orbits), [Y0] * len(cp.n_orbits.orbits)
     )
     f = construct_from_system(G, cp, sys)
     internal_check(
@@ -654,8 +651,6 @@ def prime_power_factorization(G: GroupTable, z: int) -> SetDirectFactorization:
     """Nontrivial factorization from a semi-regular central element of
     order p**k, k >= 2: X0 = <z**p>, Y0 = {1, z, ..., z**(p-1)}, glued over
     <z> with M = G.  Y is never a subgroup; if G is perfect neither is X."""
-    from .central import semi_regular_elements
-
     if z not in semi_regular_elements(G):
         raise NotSemiRegular("element must be central and fix no class")
     pk = _prime_power(G.element_order(z))

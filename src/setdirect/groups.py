@@ -8,7 +8,6 @@ operation in this module is a pure function of its inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -27,7 +26,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 20000
-ASSOCIATIVITY_CHECK_BOUND = 256
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -309,17 +307,47 @@ def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # -- construction ----------------------------------------------------------
 
 
+def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
+    """Light's test.  S = {g : (xy)g = x(yg) for all x, y} is closed under
+    products, so checking a generating set proves associativity at any order.
+    The set is chosen greedily: each element outside the right closure of the
+    earlier ones joins it (at most log2 n elements in a group)."""
+    seen = {identity}
+    reached = [identity]
+    gens = []
+    for g in range(len(rows)):
+        if g in seen:
+            continue
+        col = a[:, g]
+        bad = col[a] != a[:, col]  # (xy)g != x(yg)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotAGroup(f"associativity fails at triple ({x},{y},{g})")
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for y in frontier:
+                row = rows[y]
+                for h in gens:
+                    z = row[h]
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
+            reached += new
+            frontier = new
+
+
 def group_from_table(
     mult_table: Sequence[Sequence[int]],
     labels: Optional[Sequence[str]] = None,
     *,
     name: str = "G",
-    assoc_check_bound: int = ASSOCIATIVITY_CHECK_BOUND,
 ) -> GroupTable:
     """Validate a multiplication table and wrap it as a GroupTable.
 
     Checks: entries in range, Latin square, two-sided identity, two-sided
-    inverses, and (for n <= assoc_check_bound) full associativity.
+    inverses, and associativity (Light's test, at every order).
     """
     n = len(mult_table)
     if n == 0:
@@ -343,26 +371,19 @@ def group_from_table(
         raise NotAGroup("no two-sided identity element")
     identity = int(both[0])
 
-    inv = [0] * n
-    for x in range(n):
-        y = int(np.flatnonzero(a[x] == identity)[0])
-        if a[y][x] != identity:
-            raise NotAGroup(f"element {x} has no two-sided inverse")
-        inv[x] = y
+    inv = (a == identity).argmax(axis=1)  # the right inverse of each row
+    bad = np.flatnonzero(a[inv, ar] != identity)
+    if len(bad):
+        raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
-    if n <= assoc_check_bound:
-        small = a.astype(np.int16 if n <= 256 else np.int32)
-        left = small[small]          # left[i,j,k]  = t[t[i,j], k]
-        right = small[:, small]      # right[i,j,k] = t[i, t[j,k]]
-        if not np.array_equal(left, right):
-            i, j, k = np.argwhere(left != right)[0]
-            raise NotAGroup(f"associativity fails at triple ({i},{j},{k})")
+    rows = a.tolist()
+    _check_associative(a, rows, identity)
 
     if labels is None:
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise NotAGroup("labels length does not match order")
-    return GroupTable(a.tolist(), inv, identity, labels, name=name)
+    return GroupTable(rows, inv.tolist(), identity, labels, name=name)
 
 
 def _cycle_label(perm: Sequence[int]) -> str:
@@ -510,7 +531,7 @@ def central_product_embedding(
         _is_subgroup_mask(prod, kernel.mask),
         "pairing kernel is not a subgroup of the direct product",
     )
-    quo, coset_of = quotient_with_map(prod, kernel)
+    quo, coset_of = _quotient(prod, kernel.mask)
     quo.name = name or f"{M.name}o{N.name}"
     m_image = quo.subset({coset_of[a * nb + N.identity] for a in range(M.order)})
     n_image = quo.subset({coset_of[M.identity * nb + b] for b in range(N.order)})
@@ -520,17 +541,6 @@ def central_product_embedding(
         "factor images do not intersect in the glued subgroup",
     )
     return CentralProductEmbedding(quo, m_image, n_image, z_image)
-
-
-def external_central_product(
-    M: GroupTable,
-    N: GroupTable,
-    pairing: Sequence[Sequence[int]],
-    *,
-    name: Optional[str] = None,
-) -> GroupTable:
-    """Central product of M and N along the pairing; see central_product_embedding."""
-    return central_product_embedding(M, N, pairing, name=name).group
 
 
 # -- structure queries -------------------------------------------------------
@@ -628,11 +638,6 @@ def set_product(G: GroupTable, A: Subset, B: Subset):
     return Subset(G, mask_of(counts)), counts
 
 
-def product_subset(G: GroupTable, A: Subset, B: Subset) -> Subset:
-    """Product set AB without multiplicities (faster)."""
-    return Subset(G, _product_mask(G, A.mask, B.mask))
-
-
 def is_subgroup(G: GroupTable, S: Subset) -> bool:
     return _is_subgroup_mask(G, S.mask)
 
@@ -641,6 +646,10 @@ def left_cosets(G: GroupTable, H: Subset):
     """Left cosets of a subgroup: (representatives, coset_of index array)."""
     if not _is_subgroup_mask(G, H.mask):
         raise NotSubgroup("coset decomposition needs a subgroup")
+    return _left_cosets(G, H.mask)
+
+
+def _left_cosets(G: GroupTable, hmask: int):
     n = G.order
     coset_of = [-1] * n
     reps = []
@@ -650,29 +659,32 @@ def left_cosets(G: GroupTable, H: Subset):
             continue
         idx = len(reps)
         reps.append(g)
-        for y in bits(_ltrans(G, g, H.mask)):
+        for y in bits(_ltrans(G, g, hmask)):
             coset_of[y] = idx
     return reps, tuple(coset_of)
 
 
-def quotient_with_map(G: GroupTable, K: Subset):
-    """Quotient group by a normal subgroup plus the element -> coset map."""
+def quotient_group(G: GroupTable, K: Subset) -> GroupTable:
+    """GroupTable on the cosets of a normal subgroup K.
+
+    Element i of the quotient is the coset numbered i by left_cosets(G, K).
+    """
     if not _is_subgroup_mask(G, K.mask):
         raise NotNormalSubgroup("kernel is not a subgroup")
     if not is_normal_subset(G, K):
         raise NotNormalSubgroup("kernel is not normal")
-    reps, coset_of = left_cosets(G, K)
+    return _quotient(G, K.mask)[0]
+
+
+def _quotient(G: GroupTable, kmask: int):
+    """Quotient by a normal subgroup (unchecked) plus the element -> coset map."""
+    reps, coset_of = _left_cosets(G, kmask)
     m = len(reps)
     mult = [[coset_of[G.mult[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     inv = [coset_of[G.inv[reps[i]]] for i in range(m)]
     labels = [f"{G.labels[r]}K" for r in reps]
     quo = GroupTable(mult, inv, coset_of[G.identity], labels, name=f"{G.name}/K")
     return quo, coset_of
-
-
-def quotient_group(G: GroupTable, K: Subset) -> GroupTable:
-    """GroupTable on the cosets of a normal subgroup K."""
-    return quotient_with_map(G, K)[0]
 
 
 # -- subgroup views ----------------------------------------------------------

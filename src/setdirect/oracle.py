@@ -15,13 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .central import (
-    class_stabilizer,
-    enumerate_central_decompositions,
-    minimal_normal_subgroups,
-)
+from .central import class_stabilizer, minimal_normal_subgroups
 from .errors import (
-    NotAbelian,
     NotCentral,
     SearchSpaceTooLarge,
     TimeBudgetExceeded,
@@ -38,8 +33,6 @@ from .groups import (
     center,
     commutator_set,
     conjugacy_classes,
-    generated_subgroup,
-    is_normal_subset,
     left_cosets,
     mask_of,
 )
@@ -325,23 +318,6 @@ def enumerate_setdirect(
         nontrivial,
         len(pairs),
         time.perf_counter() - start,
-    )
-
-
-def enumerate_abelian_factorizations(
-    Z: GroupTable,
-    *,
-    max_order: int = 64,
-    normalized_only: bool = True,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-) -> EnumerationResult:
-    """All set factorizations of an abelian group (every subset is normal)."""
-    if not Z.is_abelian:
-        raise NotAbelian("abelian enumeration got a non-abelian group")
-    if Z.order > max_order:
-        raise SearchSpaceTooLarge(f"|Z| = {Z.order} exceeds the bound {max_order}")
-    return enumerate_setdirect(
-        Z, normalized_only=normalized_only, time_budget=time_budget
     )
 
 

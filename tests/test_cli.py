@@ -66,6 +66,12 @@ class TestInfo:
         assert code == 2
         assert "error" in err
 
+    def test_bad_max_order_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SETDIRECT_MAX_ORDER", "abc")
+        code, _, err = run(capsys, "info", "S4")
+        assert code == 2
+        assert "SETDIRECT_MAX_ORDER" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_trivial_on_d10(self, capsys):

@@ -23,13 +23,12 @@ from setdirect.groups import (
     central_product_embedding,
     commutator_set,
     conjugacy_classes,
-    external_central_product,
     generated_subgroup,
     group_from_permutations,
     group_from_table,
     is_normal_subset,
+    left_cosets,
     quotient_group,
-    quotient_with_map,
     set_product,
     subgroup_view,
 )
@@ -86,6 +85,50 @@ class TestGroupFromTable:
         t[j][k], t[j][l] = t[j][l], t[j][k]
         with pytest.raises(NotAGroup):
             group_from_table(t)
+        # C258 with the intercalate on rows and columns {1, 130} swapped: no
+        # swapped cell holds the identity, so identity and inverses survive
+        # and only associativity fails, at (1, 1, 2).
+        n, h = 258, 129
+        t = [[(a + b) % n for b in range(n)] for a in range(n)]
+        for r in (1, 1 + h):
+            t[r][1], t[r][1 + h] = t[r][1 + h], t[r][1]
+        with pytest.raises(NotAGroup, match="associativity"):
+            group_from_table(t)
+
+    def test_associativity_agrees_with_all_triples(self):
+        # Light's test over a generating set against the check of all n^3
+        # triples, on four order-8 tables and every intercalate swap of them.
+        verdicts = set()
+        for name in ("C8", "D8", "Q8", "C2xC2xC2"):
+            base = [list(row) for row in catalog_group(name).mult]
+            n = len(base)
+            tables = [base]
+            for i in range(1, n):
+                for j in range(i + 1, n):
+                    for k in range(1, n):
+                        for l in range(k + 1, n):
+                            if base[i][k] == base[j][l] and base[i][l] == base[j][k]:
+                                t = [row[:] for row in base]
+                                t[i][k], t[i][l] = t[i][l], t[i][k]
+                                t[j][k], t[j][l] = t[j][l], t[j][k]
+                                tables.append(t)
+            for t in tables:
+                assoc = all(
+                    t[t[x][y]][z] == t[x][t[y][z]]
+                    for x in range(n)
+                    for y in range(n)
+                    for z in range(n)
+                )
+                try:
+                    group_from_table(t)
+                except NotAGroup as exc:
+                    if "associativity" in str(exc):
+                        assert not assoc
+                        verdicts.add(False)
+                else:
+                    assert assoc
+                    verdicts.add(True)
+        assert verdicts == {True, False}
 
 
 class TestGroupFromPermutations:
@@ -118,7 +161,7 @@ class TestGroupFromPermutations:
 class TestCentralProduct:
     def test_d8_c4_order_and_center(self):
         d8, c4 = dihedral(8), cyclic(4)
-        g = external_central_product(d8, c4, [(0, 0), (2, 2)])
+        g = central_product_embedding(d8, c4, [(0, 0), (2, 2)]).group
         assert g.order == 8 * 4 // 2
         assert len(center(g)) == 4
 
@@ -131,7 +174,9 @@ class TestCentralProduct:
         from setdirect.groups import direct_product
 
         prod = direct_product(s3, c3)
-        quo, coset_of = quotient_with_map(prod, prod.subset([prod.identity]))
+        trivial = prod.subset([prod.identity])
+        quo = quotient_group(prod, trivial)
+        _, coset_of = left_cosets(prod, trivial)
         assert sorted(coset_of) == list(range(prod.order))
         for a in range(prod.order):
             for b in range(prod.order):
@@ -139,7 +184,7 @@ class TestCentralProduct:
 
     def test_q8_q8_center_glue(self):
         q8 = quaternion(8)
-        g = external_central_product(q8, q8, [(0, 0), (2, 2)])
+        g = central_product_embedding(q8, q8, [(0, 0), (2, 2)]).group
         assert g.order == 32
 
     def test_factor_images_intersect_in_glued_subgroup(self):

@@ -4,10 +4,9 @@ transversal search and the property suite."""
 import pytest
 
 from setdirect.catalog import catalog_group, cyclic, quaternion, symmetric
-from setdirect.errors import NotAbelian, SearchSpaceTooLarge
+from setdirect.errors import SearchSpaceTooLarge
 from setdirect.groups import center, generated_subgroup, set_product
 from setdirect.oracle import (
-    enumerate_abelian_factorizations,
     enumerate_setdirect,
     find_normal_transversal,
     property_suite,
@@ -84,17 +83,17 @@ class TestEnumeration:
 
 class TestAbelianEnumeration:
     def test_c2(self):
-        res = enumerate_abelian_factorizations(cyclic(2), normalized_only=False)
+        res = enumerate_setdirect(cyclic(2), normalized_only=False)
         assert res.nontrivial == 0
         assert res.total == 2  # {1} x Z and {z} x Z as unordered pairs
 
     def test_c4_pairs(self):
-        res = enumerate_abelian_factorizations(cyclic(4))
+        res = enumerate_setdirect(cyclic(4), normalized_only=True)
         assert res.normalized == 3
 
     def test_transversal_member_of_list(self):
         g = catalog_group("C3xC2xC2")
-        res = enumerate_abelian_factorizations(g)
+        res = enumerate_setdirect(g, normalized_only=True)
         g1 = 2  # exponent (1,0,0) in orders (3,2,2) encodes to 4? compute below
         from setdirect.catalog import exponent_index
 
@@ -110,14 +109,6 @@ class TestAbelianEnumeration:
         )
         key = (min(sub.mask, y.mask), max(sub.mask, y.mask))
         assert key in {f.unordered_key() for f in res.factorizations}
-
-    def test_rejects_nonabelian(self):
-        with pytest.raises(NotAbelian):
-            enumerate_abelian_factorizations(symmetric(3))
-
-    def test_order_bound(self):
-        with pytest.raises(SearchSpaceTooLarge):
-            enumerate_abelian_factorizations(cyclic(65), max_order=64)
 
 
 class TestTransversalSearch:

@@ -14,7 +14,6 @@ from setdirect.groups import (
     generated_subgroup,
     is_normal_subset,
     mask_of,
-    product_subset,
     set_product,
 )
 
@@ -111,7 +110,7 @@ def test_verifier_verdict_matches_definition(name, xs, ys):
     G = catalog_group(name)
     X, Y = class_union(G, xs), class_union(G, ys)
     rep = verify_main_theorem(G, X, Y)  # internally asserted either way
-    covers = product_subset(G, X, Y).mask == G.full_mask
+    covers = set_product(G, X, Y)[0].mask == G.full_mask
     assert rep.verdict == (is_direct(G, X, Y).verdict and covers)
 
 
@@ -132,10 +131,10 @@ def test_association_on_seeded_triples():
         A, B, C = small_union(), small_union(), small_union()
         if not is_direct(G, A, B).verdict:
             continue
-        AB = product_subset(G, A, B)
+        AB, _ = set_product(G, A, B)
         if not is_direct(G, AB, C).verdict:
             continue
         hits += 1
         assert is_direct(G, B, C).verdict
-        BC = product_subset(G, B, C)
+        BC, _ = set_product(G, B, C)
         assert is_direct(G, A, BC).verdict

@@ -1,6 +1,8 @@
 """Directness tests, the structural verifier, factorization systems,
 and the constructive routines."""
 
+from dataclasses import replace
+
 import pytest
 
 from setdirect.catalog import (
@@ -49,7 +51,6 @@ from setdirect.groups import (
     commutator_set,
     conjugacy_classes,
     generated_subgroup,
-    product_subset,
     subgroup_view,
 )
 
@@ -286,6 +287,46 @@ class TestConstructFromSystem:
         sys_ = system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])])
         with pytest.raises(InvalidChoice):
             construct_from_system(g, cp, sys_, ((99,), (0,)))
+
+    def test_rejects_system_without_embedding(self):
+        g = cyclic(4)
+        cp = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
+        sys_ = system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])])
+        with pytest.raises(SystemMismatch, match="not embedded"):
+            construct_from_system(g, cp, replace(sys_, embedding=None))
+
+    def test_rejects_system_over_another_decompositions_z(self):
+        g = cyclic(4)
+        over_c4 = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
+        over_half = is_central_product(g, g.full_subset(), g.subset([0, 2])).decomposition
+        sys_ = system_for_decomposition(
+            g, over_c4, [g.subset([0, 2])], [g.subset([0, 1])]
+        )
+        with pytest.raises(SystemMismatch, match="not embedded"):
+            construct_from_system(g, over_half, sys_)
+
+    def test_rejects_m_subgroup_other_than_its_orbit_stabilizer(self):
+        # Over Z(Q8) the orbits of {+-i}, {+-j}, {+-k} have stabilizer Z;
+        # trivial M_i with A_i = Z and B_j = {1} is still a valid system
+        # with the right orbit counts.
+        g = quaternion(8)
+        cp = is_central_product(g, g.full_subset(), center(g)).decomposition
+        view = subgroup_view(g, cp.z)
+        zt = view.table
+        trivial = zt.identity_subset()
+        m_count = len(z_orbits(g, cp.m, cp.z).orbits)
+        n_count = len(z_orbits(g, cp.n, cp.z).orbits)
+        sys_ = FactorizationSystem(
+            zt,
+            (trivial,) * m_count,
+            (trivial,) * n_count,
+            (zt.full_subset(),) * m_count,
+            (trivial,) * n_count,
+            embedding=view,
+        )
+        assert check_factorization_system(sys_).valid
+        with pytest.raises(SystemMismatch, match="M_i differs"):
+            construct_from_system(g, cp, sys_)
 
 
 class TestTransversal:
