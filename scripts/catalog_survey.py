@@ -3,6 +3,10 @@
 decompositions, semi-regular elements, and factorization counts.
 
 Usage: python scripts/catalog_survey.py [--max-order N] [--json]
+
+The oracle gets 20 s per group.  In the table an oracle that runs out of
+time shows `t/o` and the normalized pairs it found (`>=N`); a group over
+the oracle's candidate cap shows `cap`.
 """
 
 import argparse
@@ -10,7 +14,7 @@ import json
 
 from setdirect.catalog import catalog_group, catalog_names
 from setdirect.central import enumerate_central_decompositions, semi_regular_elements
-from setdirect.errors import SearchSpaceTooLarge
+from setdirect.errors import SearchSpaceTooLarge, TimeBudgetExceeded
 from setdirect.groups import center, conjugacy_classes
 from setdirect.oracle import enumerate_setdirect
 
@@ -21,11 +25,15 @@ def survey(max_order: int):
         g = catalog_group(name)
         if g.order > max_order:
             continue
+        outcome, partial_normalized = "ok", None
         try:
             res = enumerate_setdirect(g, normalized_only=True, time_budget=20.0)
             counts = (res.total, res.nontrivial, res.normalized)
+        except TimeBudgetExceeded as exc:
+            outcome, counts = "timeout", None
+            partial_normalized = exc.partial.normalized
         except SearchSpaceTooLarge:
-            counts = None
+            outcome, counts = "cap", None
         rows.append(
             {
                 "name": g.name,
@@ -37,6 +45,8 @@ def survey(max_order: int):
                 "factorizations_total": counts[0] if counts else None,
                 "factorizations_nontrivial": counts[1] if counts else None,
                 "factorizations_normalized": counts[2] if counts else None,
+                "oracle": outcome,
+                "partial_normalized": partial_normalized,
             }
         )
     return rows
@@ -52,17 +62,23 @@ def main():
     if args.json:
         print(json.dumps(rows, indent=2))
         return
-    hdr = f"{'group':10s} {'|G|':>4s} {'k':>3s} {'|Z|':>4s} {'#cp':>4s} {'#sr':>4s} {'total':>8s} {'nontriv':>8s} {'norm':>6s}"
+    hdr = f"{'group':10s} {'|G|':>4s} {'k':>3s} {'|Z|':>4s} {'#cp':>4s} {'#sr':>4s} {'total':>8s} {'nontriv':>8s} {'norm':>8s}"
     print(hdr)
     print("-" * len(hdr))
     for r in rows:
-        tot = "-" if r["factorizations_total"] is None else r["factorizations_total"]
-        ntr = "-" if r["factorizations_nontrivial"] is None else r["factorizations_nontrivial"]
-        nrm = "-" if r["factorizations_normalized"] is None else r["factorizations_normalized"]
+        if r["oracle"] == "ok":
+            tot = r["factorizations_total"]
+            ntr = r["factorizations_nontrivial"]
+            nrm = r["factorizations_normalized"]
+        elif r["oracle"] == "timeout":
+            tot = ntr = "t/o"
+            nrm = f">={r['partial_normalized']}"
+        else:
+            tot = ntr = nrm = "cap"
         print(
             f"{r['name']:10s} {r['order']:4d} {r['k']:3d} {r['center']:4d} "
             f"{r['central_decompositions']:4d} {r['semi_regular']:4d} "
-            f"{tot!s:>8s} {ntr!s:>8s} {nrm!s:>6s}"
+            f"{tot!s:>8s} {ntr!s:>8s} {nrm!s:>8s}"
         )
 
 

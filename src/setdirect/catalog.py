@@ -231,14 +231,26 @@ def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Build a group from the JSON group-specification format.
 
     Kinds: "permutations" (degree + generators), "table" (mult + labels),
-    "catalog" (name), "central_product" (left/right specs + pairing).
+    "catalog" (name), "central_product" (left/right specs + pairing).  A
+    malformed specification raises NotAGroup.
     """
+    if not isinstance(obj, dict):
+        raise NotAGroup(f"a group specification is a JSON object, not {type(obj).__name__}")
+    try:
+        return _group_from_spec(obj, max_order)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NotAGroup(f"malformed {obj.get('kind')!r} group specification: {exc!r}") from exc
+
+
+def _group_from_spec(obj: dict, max_order: int) -> GroupTable:
     kind = obj.get("kind")
     if kind == "permutations":
         return group_from_permutations(obj["generators"], max_order=max_order)
     if kind == "table":
         return group_from_table(obj["mult"], obj.get("labels"))
     if kind == "catalog":
+        if not isinstance(obj["name"], str):
+            raise NotAGroup(f"catalog name {obj['name']!r} is not a string")
         return catalog_group(obj["name"])
     if kind == "central_product":
         left = group_from_json(obj["left"], max_order=max_order)
@@ -252,7 +264,10 @@ def load_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Resolve a CLI group spec: a catalog name or a path to a JSON file."""
     path = Path(spec)
     if spec.endswith(".json") or path.is_file():
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise NotAGroup(f"cannot read group file {spec!r}: {exc}") from exc
         g = group_from_json(obj, max_order=max_order)
         if g.name == "G" or g.name.startswith("perm-group"):
             g.name = path.stem

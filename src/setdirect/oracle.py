@@ -2,17 +2,22 @@
 
 enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
-unions of conjugacy classes, the identity-normalized pairs are found by an
-exact-cover search, and the rest follow by shifting with central elements
-(every factorization is such a shift of a normalized one, and shifting
-preserves directness).  Nothing here consults the structural verifier.
+unions of conjugacy classes, and the identity-normalized pairs are found by
+an exact-cover search.  Every other factorization is a shift (zX, wY) of a
+normalized one by central elements z, w, and shifting preserves directness.
+The totals follow from the normalized pairs in closed form (each normalized
+ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations); the
+shifts themselves are built only for a full listing.  Nothing here consults
+the structural verifier.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .central import class_stabilizer, minimal_normal_subgroups
@@ -37,7 +42,6 @@ from .groups import (
     mask_of,
 )
 
-MAX_CLASS_COUNT = 26
 DEFAULT_TIME_BUDGET = 60.0
 DEFAULT_EXPANSION_CAP = 2_000_000
 DEFAULT_CANDIDATE_CAP = 3_000_000
@@ -127,8 +131,27 @@ def _search_volume(G: GroupTable):
     return total
 
 
-def _normalized_pairs(G: GroupTable, deadline: _Deadline, candidate_cap: int):
-    """All unordered normalized factorization pairs, as (xmask, ymask)."""
+@dataclass
+class _Found:
+    """Unordered normalized pairs met so far, with their shift weights.
+
+    weights maps (|X∩Z| |Y∩Z|, nontrivial) to the number of normalized
+    ordered pairs with that product; it is tallied as each new pair is met,
+    so the counts cost no pass over the pairs afterwards.
+    """
+
+    pairs: set = field(default_factory=set)
+    weights: Counter = field(default_factory=Counter)
+
+
+def _normalized_pairs(
+    G: GroupTable, deadline: _Deadline, candidate_cap: int, found: _Found
+) -> list:
+    """All unordered normalized factorization pairs, as (xmask, ymask).
+
+    Pairs go into `found` as the search meets them, so a caller that
+    catches _OutOfTime still holds every pair found before the deadline.
+    """
     part = conjugacy_classes(G)
     k = len(part)
     volume = _search_volume(G)
@@ -145,6 +168,8 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, candidate_cap: int):
     cmasks = [part.class_mask(c) for c in range(k)]
     mult, inv = G.mult, G.inv
     class_of = part.class_of
+    zc = center(G).mask
+    pairs, weights = found.pairs, found.weights
 
     pair_products: dict = {}
 
@@ -156,16 +181,16 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, candidate_cap: int):
             pair_products[key] = m
         return m
 
-    found = set()
     for d, e in _divisor_splits(n):
+        nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
         for chosen in _subsets_with_total(sizes, others, d - sizes[id_class]):
             deadline.poll()
             x_classes = (id_class, *chosen)
             xmask = 0
             for c in x_classes:
                 xmask |= cmasks[c]
-            x_members = tuple(bits(xmask))
-            x_inv = tuple(inv[x] for x in x_members)
+            x_inv = tuple(inv[x] for x in bits(xmask))
+            x_central = (xmask & zc).bit_count()
 
             # lazily built products X * class, with directness by cardinality
             xc_cache: dict = {}
@@ -181,13 +206,16 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, candidate_cap: int):
                     xc_cache[c] = m
                 return m
 
-            solutions = []
-
-            def dfs(covered, size_left, used):
+            def dfs(covered, size_left, ymask):
                 deadline.poll()
                 if size_left == 0:
                     internal_check(covered == full, "cover completed but not full")
-                    solutions.append(used)
+                    key = (xmask, ymask) if xmask <= ymask else (ymask, xmask)
+                    if key not in pairs:  # with |X| = |Y| each pair is met twice
+                        pairs.add(key)
+                        weights[x_central * (ymask & zc).bit_count(), nontrivial] += (
+                            2 if xmask != ymask else 1
+                        )
                     return
                 low = (~covered & full) & -(~covered & full)
                 g = low.bit_length() - 1
@@ -200,59 +228,44 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, candidate_cap: int):
                     pm = x_times(c)
                     if pm == -1 or pm & covered:
                         continue
-                    dfs(covered | pm, size_left - sizes[c], used | (1 << c))
+                    dfs(covered | pm, size_left - sizes[c], ymask | cmasks[c])
 
             # Y is normalized too: it must contain the identity class.
             init = x_times(id_class)
             if init != -1:
-                dfs(init, e - sizes[id_class], 1 << id_class)
-            for used in solutions:
-                ymask = 0
-                for c in bits(used):
-                    ymask |= cmasks[c]
-                key = (xmask, ymask) if xmask <= ymask else (ymask, xmask)
-                found.add(key)
-    return sorted(found)
+                dfs(init, e - sizes[id_class], cmasks[id_class])
+    return sorted(pairs)
+
+
+def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
+    """Exact (total, nontrivial) unordered counts over all central shifts.
+
+    Under the shift action of Z x Z the orbit of an ordered pair (X, Y) has
+    |Z|^2 / (|K(X)| |K(Y)|) members, K the stabilizer in Z, and
+    (|X∩Z| / |K(X)|) (|Y∩Z| / |K(Y)|) of them are normalized (zX holds the
+    identity iff z^-1 lies in X).  So each normalized ordered pair stands
+    for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations: popcounts suffice.
+    """
+    zz = center(G).mask.bit_count() ** 2
+
+    def ordered_total(nontrivial_only):
+        got = sum(
+            (Fraction(zz * cnt, w) for (w, nt), cnt in weights.items()
+             if nt or not nontrivial_only),
+            Fraction(0),
+        )
+        internal_check(got.denominator == 1, "shift orbits do not sum to a whole count")
+        return got.numerator
+
+    diagonal = 1 if G.order == 1 else 0
+    return (ordered_total(False) + diagonal) // 2, (ordered_total(True) + diagonal) // 2
 
 
 def _center_translates(G: GroupTable, mask: int):
     return [_ltrans(G, z, mask) for z in bits(center(G).mask)]
 
 
-def _expanded_counts(G: GroupTable, pairs):
-    """Exact totals over all central shifts of the normalized pairs.
-
-    Works orbit by orbit under the shift action of Z(G) x Z(G): the orbit of
-    an ordered pair has size |Z|^2 / (|K(X)| |K(Y)|), and orbits are keyed by
-    the lexicographically least translates of the two sides.
-    """
-    zc = center(G).mask
-    zsize = zc.bit_count()
-    side_info: dict = {}
-
-    def info(mask):
-        got = side_info.get(mask)
-        if got is None:
-            translates = _center_translates(G, mask)
-            kern = sum(1 for t in translates if t == mask)
-            got = (min(translates), kern)
-            side_info[mask] = got
-        return got
-
-    orbits: dict = {}
-    for xm, ym in pairs:
-        (cx, kx), (cy, ky) = info(xm), info(ym)
-        size = zsize * zsize // (kx * ky)
-        nontrivial = xm.bit_count() > 1 and ym.bit_count() > 1
-        orbits[(cx, cy)] = (size, nontrivial)
-        orbits[(cy, cx)] = (size, nontrivial)
-    total_ordered = sum(s for s, _ in orbits.values())
-    nontrivial_ordered = sum(s for s, nt in orbits.values() if nt)
-    diagonal = 1 if G.order == 1 else 0
-    return (total_ordered + diagonal) // 2, (nontrivial_ordered + diagonal) // 2
-
-
-def _expand(G: GroupTable, pairs, cap: int):
+def _expand(G: GroupTable, pairs, cap: int, deadline: _Deadline):
     zsize = center(G).mask.bit_count()
     if zsize * zsize * max(len(pairs), 1) > cap:
         raise SearchSpaceTooLarge(
@@ -272,6 +285,7 @@ def _expand(G: GroupTable, pairs, cap: int):
     for xm, ym in pairs:
         for tx in translates(xm):
             for ty in translates(ym):
+                deadline.poll()
                 out.add((tx, ty) if tx <= ty else (ty, tx))
     return sorted(out)
 
@@ -287,30 +301,40 @@ def enumerate_setdirect(
 ) -> EnumerationResult:
     """Exhaustively enumerate the set-direct factorizations of G.
 
-    Every returned pair satisfies XY = G with unique representation; the
-    search accepts a group when its class count is at most 26 or the
-    divisor-pruned candidate volume stays under candidate_cap.  Counts
-    (total, nontrivial, normalized) are always exact; the returned list is
-    either all pairs or, with normalized_only, one normalized pair per
-    entry found by the search.
+    Every returned pair satisfies XY = G with unique representation.  The
+    search accepts a group when its divisor-pruned candidate volume stays
+    under candidate_cap.  Counts (total, nontrivial, normalized) are always
+    exact; the returned list is either all pairs or, with normalized_only,
+    one normalized pair per entry found by the search.
+
+    time_budget bounds the search, the full listing and the building of
+    the returned list.  On a time-out TimeBudgetExceeded.partial holds the
+    normalized pairs found so far as `normalized`, and `total`/`nontrivial`
+    summed over those pairs: lower bounds of the exact counts.  Its list of
+    factorizations is empty.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
+    found = _Found()
     try:
-        pairs = _normalized_pairs(G, deadline, candidate_cap)
+        pairs = _normalized_pairs(G, deadline, candidate_cap, found)
+        total, nontrivial = _orbit_counts(G, found.weights)
+        listed = pairs if normalized_only else _expand(G, pairs, expansion_cap, deadline)
+        if nontrivial_only:  # a normal singleton is central
+            listed = [(xm, ym) for xm, ym in listed
+                      if xm.bit_count() > 1 and ym.bit_count() > 1]
+        facts = []
+        for xm, ym in listed:
+            deadline.poll()
+            facts.append(SetDirectFactorization(G, Subset(G, xm), Subset(G, ym), True))
     except _OutOfTime:
-        partial = EnumerationResult(G.name, [], -1, -1, -1, time.perf_counter() - start)
+        total, nontrivial = _orbit_counts(G, found.weights)
+        partial = EnumerationResult(
+            G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
+        )
         raise TimeBudgetExceeded(
             f"time budget {time_budget}s exhausted on {G.name}", partial=partial
         )
-    total, nontrivial = _expanded_counts(G, pairs)
-    listed = pairs if normalized_only else _expand(G, pairs, expansion_cap)
-    facts = [
-        SetDirectFactorization(G, Subset(G, xm), Subset(G, ym), True)
-        for xm, ym in listed
-    ]
-    if nontrivial_only:
-        facts = [f for f in facts if f.is_nontrivial()]
     return EnumerationResult(
         G.name,
         facts,

@@ -78,3 +78,36 @@ def abelian_subgroups(G: GroupTable):
             if G.identity in combo and is_subgroup_naive(G, combo):
                 found.append(frozenset(combo))
     return found
+
+
+def translate_orbit_counts(G: GroupTable, pairs):
+    """(total, nontrivial) unordered factorizations from normalized pairs.
+
+    Builds every central translate of every side and counts the orbits of
+    the shift action of Z(G) x Z(G): an orbit is keyed by the least
+    translates of its two sides and has |Z|^2 / (|K(X)| |K(Y)|) ordered
+    members, K(X) the translates that fix X.
+    """
+    zs = [z for z in range(G.order) if all(G.mult[z][g] == G.mult[g][z] for g in range(G.order))]
+    side_info = {}
+
+    def info(mask):
+        got = side_info.get(mask)
+        if got is None:
+            members = [g for g in range(G.order) if (mask >> g) & 1]
+            translates = [mask_of(G.mult[z][g] for g in members) for z in zs]
+            got = (min(translates), sum(1 for t in translates if t == mask))
+            side_info[mask] = got
+        return got
+
+    orbits = {}
+    for xm, ym in pairs:
+        (cx, kx), (cy, ky) = info(xm), info(ym)
+        size = len(zs) ** 2 // (kx * ky)
+        nontrivial = xm.bit_count() > 1 and ym.bit_count() > 1
+        orbits[(cx, cy)] = (size, nontrivial)
+        orbits[(cy, cx)] = (size, nontrivial)
+    total_ordered = sum(s for s, _ in orbits.values())
+    nontrivial_ordered = sum(s for s, nt in orbits.values() if nt)
+    diagonal = 1 if G.order == 1 else 0
+    return (total_ordered + diagonal) // 2, (nontrivial_ordered + diagonal) // 2

@@ -223,3 +223,22 @@ class TestGroupFiles:
         path.write_text(json.dumps({"kind": "catalog", "name": "D10"}))
         code, out, _ = run(capsys, "info", str(path), "--json")
         assert json.loads(out)["order"] == 10
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"kind": "table", "mult": [[0, 1], [1]]}),
+            json.dumps({"kind": "permutations"}),
+            json.dumps([{"kind": "catalog", "name": "C4"}]),
+            '{"kind": "catalog", "name": ',
+            None,
+        ],
+        ids=["ragged-table", "no-generators", "top-level-list", "invalid-json", "missing-file"],
+    )
+    def test_malformed_file_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        code, _, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert "error" in err and "Traceback" not in err

@@ -1,10 +1,12 @@
 """The brute-force enumeration against an even more naive reference, plus
 transversal search and the property suite."""
 
+import time
+
 import pytest
 
-from setdirect.catalog import catalog_group, cyclic, quaternion, symmetric
-from setdirect.errors import SearchSpaceTooLarge
+from setdirect.catalog import catalog_group, catalog_names, cyclic, quaternion, symmetric
+from setdirect.errors import SearchSpaceTooLarge, TimeBudgetExceeded
 from setdirect.groups import center, generated_subgroup, set_product
 from setdirect.oracle import (
     enumerate_setdirect,
@@ -12,7 +14,7 @@ from setdirect.oracle import (
     property_suite,
 )
 
-from helpers import naive_factorizations
+from helpers import naive_factorizations, translate_orbit_counts
 
 
 SMALL_GROUPS = ["C4", "C6", "C8", "C12", "S3", "S4", "D8", "D10", "D12", "Q8",
@@ -79,6 +81,50 @@ class TestEnumeration:
         res = enumerate_setdirect(g, normalized_only=True)
         assert all(f.is_normalized() for f in res.factorizations)
         assert res.normalized == len(res.factorizations)
+
+
+ORBIT_COUNT_GROUPS = [
+    n for n in catalog_names() if catalog_group(n).order <= 24
+] + ["C30", "C3xC3xC2"]
+
+# Largest time past its budget that a budgeted run may take, in seconds.
+# Twelve runs each of C40 and C34 on a 2 s budget (2-vCPU shared host) ended
+# at most 0.01 s past it.
+BUDGET_MARGIN_S = 1.0
+
+
+class TestShiftOrbitCounts:
+    @pytest.mark.parametrize("name", ORBIT_COUNT_GROUPS)
+    def test_closed_form_matches_translates(self, name):
+        g = catalog_group(name)
+        res = enumerate_setdirect(g, normalized_only=True)
+        pairs = [(f.x.mask, f.y.mask) for f in res.factorizations]
+        assert (res.total, res.nontrivial) == translate_orbit_counts(g, pairs)
+
+    def test_c34_pinned(self):
+        res = enumerate_setdirect(cyclic(34), normalized_only=True)
+        assert (res.total, res.nontrivial, res.normalized) == (2228802, 2228768, 65553)
+
+
+class TestTimeBudget:
+    def test_partial_progress_on_timeout(self):
+        with pytest.raises(TimeBudgetExceeded) as info:
+            enumerate_setdirect(catalog_group("C40"), normalized_only=True, time_budget=0.5)
+        partial = info.value.partial
+        assert partial.normalized > 0
+        assert partial.total >= partial.normalized
+        assert partial.nontrivial <= partial.total
+        assert partial.factorizations == []
+
+    @pytest.mark.parametrize("name", ["C40", "C34"])
+    def test_run_ends_near_its_budget(self, name):
+        g = catalog_group(name)
+        t0 = time.perf_counter()
+        try:
+            enumerate_setdirect(g, normalized_only=True, time_budget=2.0)
+        except TimeBudgetExceeded:
+            pass
+        assert time.perf_counter() - t0 <= 2.0 + BUDGET_MARGIN_S
 
 
 class TestAbelianEnumeration:
