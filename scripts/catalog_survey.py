@@ -4,13 +4,15 @@ decompositions, semi-regular elements, and factorization counts.
 
 Usage: python scripts/catalog_survey.py [--max-order N] [--json]
 
-The oracle gets 20 s per group.  In the table an oracle that runs out of
-time shows `t/o` and the normalized pairs it found (`>=N`); a group over
-the oracle's candidate cap shows `cap`.
+The oracle gets 20 s per group; its wall time is the `oracle_s` column
+(and field in --json).  In the table an oracle that runs out of time shows
+`t/o` and the normalized pairs it found (`>=N`); a group over the oracle's
+candidate cap shows `cap`.
 """
 
 import argparse
 import json
+import time
 
 from setdirect.catalog import catalog_group, catalog_names
 from setdirect.central import enumerate_central_decompositions, semi_regular_elements
@@ -26,14 +28,17 @@ def survey(max_order: int):
         if g.order > max_order:
             continue
         outcome, partial_normalized = "ok", None
+        t0 = time.perf_counter()
         try:
             res = enumerate_setdirect(g, normalized_only=True, time_budget=20.0)
             counts = (res.total, res.nontrivial, res.normalized)
+            del res  # the listing (C40: 901 681 pairs) is not kept past its group
         except TimeBudgetExceeded as exc:
             outcome, counts = "timeout", None
             partial_normalized = exc.partial.normalized
         except SearchSpaceTooLarge:
             outcome, counts = "cap", None
+        oracle_s = time.perf_counter() - t0
         rows.append(
             {
                 "name": g.name,
@@ -46,6 +51,7 @@ def survey(max_order: int):
                 "factorizations_nontrivial": counts[1] if counts else None,
                 "factorizations_normalized": counts[2] if counts else None,
                 "oracle": outcome,
+                "oracle_s": round(oracle_s, 3),
                 "partial_normalized": partial_normalized,
             }
         )
@@ -62,7 +68,7 @@ def main():
     if args.json:
         print(json.dumps(rows, indent=2))
         return
-    hdr = f"{'group':10s} {'|G|':>4s} {'k':>3s} {'|Z|':>4s} {'#cp':>4s} {'#sr':>4s} {'total':>8s} {'nontriv':>8s} {'norm':>8s}"
+    hdr = f"{'group':10s} {'|G|':>4s} {'k':>3s} {'|Z|':>4s} {'#cp':>4s} {'#sr':>4s} {'total':>8s} {'nontriv':>8s} {'norm':>8s} {'oracle_s':>8s}"
     print(hdr)
     print("-" * len(hdr))
     for r in rows:
@@ -78,7 +84,7 @@ def main():
         print(
             f"{r['name']:10s} {r['order']:4d} {r['k']:3d} {r['center']:4d} "
             f"{r['central_decompositions']:4d} {r['semi_regular']:4d} "
-            f"{tot!s:>8s} {ntr!s:>8s} {nrm!s:>8s}"
+            f"{tot!s:>8s} {ntr!s:>8s} {nrm!s:>8s} {r['oracle_s']:8.2f}"
         )
 
 

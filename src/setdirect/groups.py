@@ -346,15 +346,26 @@ def group_from_table(
 ) -> GroupTable:
     """Validate a multiplication table and wrap it as a GroupTable.
 
-    Checks: entries in range, Latin square, two-sided identity, two-sided
-    inverses, and associativity (Light's test, at every order).
+    Checks: square shape, integer entries (a bool, float or string is not
+    one) in range, Latin square, two-sided identity, two-sided inverses, and
+    associativity (Light's test, at every order); labels, if given, are n
+    strings.
     """
     n = len(mult_table)
     if n == 0:
         raise NotAGroup("empty table")
-    a = np.asarray(mult_table, dtype=np.int64)
-    if a.shape != (n, n):
-        raise NotAGroup(f"table is not square: shape {a.shape}")
+    types = set()
+    for row in mult_table:
+        if len(row) != n:
+            raise NotAGroup(f"table is not square: a row has {len(row)} entries, not {n}")
+        types.update(map(type, row))
+    for t in types:
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise NotAGroup(f"a table entry of type {t.__name__} is not an integer")
+    try:
+        a = np.asarray(mult_table, dtype=np.int64)
+    except OverflowError:
+        raise NotAGroup("table entries out of range 0..n-1") from None
     if a.min() < 0 or a.max() >= n:
         raise NotAGroup("table entries out of range 0..n-1")
 
@@ -383,6 +394,8 @@ def group_from_table(
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise NotAGroup("labels length does not match order")
+    elif not all(isinstance(label, str) for label in labels):
+        raise NotAGroup("labels are not all strings")
     return GroupTable(rows, inv.tolist(), identity, labels, name=name)
 
 

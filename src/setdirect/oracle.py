@@ -3,16 +3,23 @@
 enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
-an exact-cover search.  Every other factorization is a shift (zX, wY) of a
-normalized one by central elements z, w, and shifting preserves directness.
-The totals follow from the normalized pairs in closed form (each normalized
-ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations); the
-shifts themselves are built only for a full listing.  Nothing here consults
-the structural verifier.
+an exact-cover search.  On an abelian group the power maps x -> x^k, k a
+unit modulo the exponent, are automorphisms (each is checked on the whole
+multiplication table), and an automorphism s maps a normalized
+factorization (X, Y) to the normalized factorization (sX, sY).  So the
+search takes one small side X per orbit of the power maps and adds the
+images of each pair it finds.  Every other factorization is a shift
+(zX, wY) of a normalized one by central elements z, w, and shifting
+preserves directness.  The totals follow from the normalized pairs in
+closed form (each normalized ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|)
+ordered factorizations); the shifts themselves are built only for a full
+listing.  Nothing here consults the structural verifier.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 import time
 from collections import Counter
@@ -144,6 +151,112 @@ class _Found:
     weights: Counter = field(default_factory=Counter)
 
 
+_SORT_CHUNK = 1 << 16  # one sort of this many pairs takes tens of ms
+
+
+def _sorted_pairs(pairs, deadline: _Deadline) -> list:
+    """Mask pairs (a, b) in ascending order, without a long sort.
+
+    One sort of C45's 5.2 million pairs takes seconds with no deadline
+    poll (3.4 s for the 4.8 million of them that share the side <z^15>,
+    2-vCPU host).  So a large input is bucketed by a in a pass that polls
+    the deadline, and a large bucket is split further by _sorted_by_b.
+    """
+    if len(pairs) <= _SORT_CHUNK:
+        return sorted(pairs)
+    by_a = {}
+    for p in pairs:
+        deadline.poll()
+        bucket = by_a.get(p[0])
+        if bucket is None:
+            by_a[p[0]] = [p]
+        else:
+            bucket.append(p)
+    out = []
+    for a in sorted(by_a):
+        bucket = by_a[a]
+        out += sorted(bucket) if len(bucket) <= _SORT_CHUNK else _sorted_by_b(bucket, deadline)
+    return out
+
+
+def _sorted_by_b(pairs: list, deadline: _Deadline) -> list:
+    """Distinct pairs (a, b) that share a, in ascending order: split into 256
+    parts by the leading bits of b above the least b, in passes that poll
+    the deadline, and each part sorted the same way."""
+    least = most = pairs[0][1]
+    for p in pairs:
+        deadline.poll()
+        if p[1] < least:
+            least = p[1]
+        elif p[1] > most:
+            most = p[1]
+    shift = max((most - least).bit_length() - 8, 0)
+    parts = [[] for _ in range(256)]
+    for p in pairs:
+        deadline.poll()
+        parts[(p[1] - least) >> shift].append(p)
+    out = []
+    for part in parts:
+        out += sorted(part) if len(part) <= _SORT_CHUNK else _sorted_by_b(part, deadline)
+    return out
+
+
+def _power_maps(G: GroupTable) -> list:
+    """The maps x -> x^k of an abelian G, for k a unit modulo exp(G).
+
+    Each map is a tuple s with s[x] = x^k, the identity map (k = 1) first;
+    there are phi(exp G) of them and they form a group under composition.
+    Every map is checked on the whole table to be a bijective homomorphism.
+    A non-abelian G gets none.
+    """
+    n, mult, one = G.order, G.mult, G.identity
+    if len(conjugacy_classes(G)) != n:
+        return []
+    powers = []  # powers[x][j] = x^j, for j below the order of x
+    for x in range(n):
+        pw, y = [one], x
+        while y != one:
+            pw.append(y)
+            y = mult[y][x]
+        powers.append(pw)
+    exponent = math.lcm(*(len(pw) for pw in powers))
+    maps = []
+    for k in range(1, exponent + 1):
+        if math.gcd(k, exponent) != 1:
+            continue
+        s = tuple(pw[k % len(pw)] for pw in powers)
+        internal_check(len(set(s)) == n, f"x -> x^{k} is not a bijection")
+        internal_check(
+            all(mult[sa][s[b]] == s[ab]
+                for sa, row in zip(s, mult) for b, ab in enumerate(row)),
+            f"x -> x^{k} is not a homomorphism",
+        )
+        maps.append(s)
+    return maps
+
+
+def _byte_tables(s) -> tuple:
+    """Lookup tables that map a mask through s a byte at a time: table j
+    sends byte j of a mask (bits 8j..8j+7) to the mask of those bits' images."""
+    n = len(s)
+    tables = []
+    for base in range(0, n, 8):
+        t = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            i = base + low.bit_length() - 1
+            t[v] = t[v ^ low] | (1 << s[i] if i < n else 0)
+        tables.append(t)
+    return tuple(tables)
+
+
+def _map_mask(tables, mask: int) -> int:
+    m = 0
+    for t, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+        m |= t[byte]
+    return m
+
+
 def _normalized_pairs(
     G: GroupTable, deadline: _Deadline, candidate_cap: int, found: _Found
 ) -> list:
@@ -170,6 +283,17 @@ def _normalized_pairs(
     class_of = part.class_of
     zc = center(G).mask
     pairs, weights = found.pairs, found.weights
+    # the identity map fixes every X; a non-abelian group gets no maps
+    map_tables = [_byte_tables(s) for s in _power_maps(G)[1:]]
+
+    def add(xm, ym, nontrivial):
+        key = (xm, ym) if xm <= ym else (ym, xm)
+        if key in pairs:  # with |X| = |Y| a pair can be met twice
+            return
+        pairs.add(key)
+        weights[(xm & zc).bit_count() * (ym & zc).bit_count(), nontrivial] += (
+            2 if xm != ym else 1
+        )
 
     pair_products: dict = {}
 
@@ -183,14 +307,25 @@ def _normalized_pairs(
 
     for d, e in _divisor_splits(n):
         nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
+        covered_x = set()  # images of earlier X under the power maps
         for chosen in _subsets_with_total(sizes, others, d - sizes[id_class]):
             deadline.poll()
             x_classes = (id_class, *chosen)
             xmask = 0
             for c in x_classes:
                 xmask |= cmasks[c]
+            if xmask in covered_x:
+                continue
+            # One map per distinct image sX != X: the factorizations with
+            # small side sX are exactly the (sX, sY) for those with side X.
+            images = {}
+            for tables in map_tables:
+                sx = _map_mask(tables, xmask)
+                if sx != xmask and sx not in images:
+                    images[sx] = tables
+            covered_x.update(images)
+            images = tuple(images.items())
             x_inv = tuple(inv[x] for x in bits(xmask))
-            x_central = (xmask & zc).bit_count()
 
             # lazily built products X * class, with directness by cardinality
             xc_cache: dict = {}
@@ -210,12 +345,9 @@ def _normalized_pairs(
                 deadline.poll()
                 if size_left == 0:
                     internal_check(covered == full, "cover completed but not full")
-                    key = (xmask, ymask) if xmask <= ymask else (ymask, xmask)
-                    if key not in pairs:  # with |X| = |Y| each pair is met twice
-                        pairs.add(key)
-                        weights[x_central * (ymask & zc).bit_count(), nontrivial] += (
-                            2 if xmask != ymask else 1
-                        )
+                    add(xmask, ymask, nontrivial)
+                    for sx, tables in images:
+                        add(sx, _map_mask(tables, ymask), nontrivial)
                     return
                 low = (~covered & full) & -(~covered & full)
                 g = low.bit_length() - 1
@@ -234,7 +366,9 @@ def _normalized_pairs(
             init = x_times(id_class)
             if init != -1:
                 dfs(init, e - sizes[id_class], cmasks[id_class])
-    return sorted(pairs)
+            del dfs  # it refers to itself: free it now, not at a later collection
+        del covered_x  # a later split has another |X|, so none of it recurs
+    return _sorted_pairs(pairs, deadline)
 
 
 def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
@@ -287,7 +421,34 @@ def _expand(G: GroupTable, pairs, cap: int, deadline: _Deadline):
             for ty in translates(ym):
                 deadline.poll()
                 out.add((tx, ty) if tx <= ty else (ty, tx))
-    return sorted(out)
+    return _sorted_pairs(out, deadline)
+
+
+def _factorization_list(G: GroupTable, listed, deadline: _Deadline) -> list:
+    """The listed pairs as factorizations, built with the cyclic garbage
+    collector paused.
+
+    The objects form no cycles, but each full collection walks all of
+    them: listing C42's 2.7 million normalized pairs took 31 s with the
+    collector on (one pause of 7 s, which no deadline poll can cut short)
+    and 8 s with it paused, on a 2-vCPU host.  A list cut short by the
+    deadline is dropped before the collector resumes, so it does not walk
+    that either.
+    """
+    facts = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for xm, ym in listed:
+            deadline.poll()
+            facts.append(SetDirectFactorization(G, Subset(G, xm), Subset(G, ym), True))
+    except _OutOfTime:
+        facts.clear()
+        raise
+    finally:
+        if was_enabled:
+            gc.enable()
+    return facts
 
 
 def enumerate_setdirect(
@@ -303,9 +464,12 @@ def enumerate_setdirect(
 
     Every returned pair satisfies XY = G with unique representation.  The
     search accepts a group when its divisor-pruned candidate volume stays
-    under candidate_cap.  Counts (total, nontrivial, normalized) are always
-    exact; the returned list is either all pairs or, with normalized_only,
-    one normalized pair per entry found by the search.
+    under candidate_cap.  On an abelian group it searches one small side X
+    per orbit of the power maps x -> x^k (k a unit modulo the exponent,
+    each map checked on the table to be an automorphism) and adds the image
+    (sX, sY) of every pair (X, Y) it finds.  Counts (total, nontrivial,
+    normalized) are always exact; the returned list is either all pairs or,
+    with normalized_only, one normalized pair per entry.
 
     time_budget bounds the search, the full listing and the building of
     the returned list.  On a time-out TimeBudgetExceeded.partial holds the
@@ -323,10 +487,7 @@ def enumerate_setdirect(
         if nontrivial_only:  # a normal singleton is central
             listed = [(xm, ym) for xm, ym in listed
                       if xm.bit_count() > 1 and ym.bit_count() > 1]
-        facts = []
-        for xm, ym in listed:
-            deadline.poll()
-            facts.append(SetDirectFactorization(G, Subset(G, xm), Subset(G, ym), True))
+        facts = _factorization_list(G, listed, deadline)
     except _OutOfTime:
         total, nontrivial = _orbit_counts(G, found.weights)
         partial = EnumerationResult(

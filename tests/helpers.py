@@ -5,9 +5,16 @@ pairwise closures) and deliberately shares no code with the library's
 search or verifier internals.
 """
 
+import random
 from itertools import combinations
 
-from setdirect.groups import GroupTable, Subset, conjugacy_classes, mask_of
+from setdirect.groups import (
+    GroupTable,
+    Subset,
+    conjugacy_classes,
+    group_from_table,
+    mask_of,
+)
 
 
 def naive_product_counts(G: GroupTable, xs, ys):
@@ -111,3 +118,18 @@ def translate_orbit_counts(G: GroupTable, pairs):
     nontrivial_ordered = sum(s for s, nt in orbits.values() if nt)
     diagonal = 1 if G.order == 1 else 0
     return (total_ordered + diagonal) // 2, (nontrivial_ordered + diagonal) // 2
+
+
+def relabelled(G: GroupTable, rng: random.Random) -> GroupTable:
+    """An isomorphic copy of G with its elements renumbered at random."""
+    n = G.order
+    new = list(range(n))
+    rng.shuffle(new)
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            mult[new[a]][new[b]] = new[G.mult[a][b]]
+    labels = [None] * n
+    for a in range(n):
+        labels[new[a]] = G.labels[a]
+    return group_from_table(mult, labels, name=G.name)

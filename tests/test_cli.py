@@ -1,8 +1,13 @@
 """CLI subcommands: parsing, exit codes, JSON shape, group files."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setdirect.cli import main, parse_subset
 from setdirect.catalog import catalog_group
@@ -228,12 +233,15 @@ class TestGroupFiles:
         "text",
         [
             json.dumps({"kind": "table", "mult": [[0, 1], [1]]}),
+            json.dumps({"kind": "table", "mult": [[0, 1.9], [1.2, 0]]}),
+            json.dumps({"kind": "table", "mult": [[0, 1], [1, 0]], "labels": [0, 1]}),
             json.dumps({"kind": "permutations"}),
             json.dumps([{"kind": "catalog", "name": "C4"}]),
             '{"kind": "catalog", "name": ',
             None,
         ],
-        ids=["ragged-table", "no-generators", "top-level-list", "invalid-json", "missing-file"],
+        ids=["ragged-table", "float-entry", "int-labels", "no-generators",
+             "top-level-list", "invalid-json", "missing-file"],
     )
     def test_malformed_file_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
@@ -242,3 +250,39 @@ class TestGroupFiles:
         code, _, err = run(capsys, "info", str(path))
         assert code == 2
         assert "error" in err and "Traceback" not in err
+
+
+ENTRIES = st.one_of(
+    st.integers(min_value=-1, max_value=4),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=2),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def table_specs(draw):
+    """"table" group specs of order at most 4, often ragged or mistyped."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n - 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    spec = {"kind": "table", "mult": rows}
+    labels = draw(st.none() | st.lists(ENTRIES, min_size=n - 1, max_size=n + 1))
+    if labels is not None:
+        spec["labels"] = labels
+    return spec
+
+
+@given(spec=table_specs())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fuzz_table_files_exit_cleanly(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["info", str(path), "--json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

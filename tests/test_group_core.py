@@ -1,5 +1,6 @@
 """Group construction, classes, centers, products, quotients."""
 
+import numpy as np
 import pytest
 
 from setdirect.catalog import (
@@ -59,6 +60,29 @@ class TestGroupFromTable:
     def test_rejects_out_of_range(self):
         with pytest.raises(NotAGroup):
             group_from_table([[0, 2], [2, 0]])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1.9], [1.2, 0]],
+            [[0, "1"], ["1", 0]],
+            [[True, False], [False, True]],  # C2 with identity 1, were it read as ints
+        ],
+        ids=["float", "string", "bool"],
+    )
+    def test_rejects_non_integer_entries(self, table):
+        with pytest.raises(NotAGroup, match="not an integer"):
+            group_from_table(table)
+
+    def test_accepts_numpy_integers(self):
+        g = group_from_table(np.array([[0, 1], [1, 0]], dtype=np.int16))
+        assert g.order == 2 and g.inv == (0, 1)
+
+    def test_rejects_ragged_and_bad_labels(self):
+        with pytest.raises(NotAGroup, match="not square"):
+            group_from_table([[0, 1], [1]])
+        with pytest.raises(NotAGroup, match="labels"):
+            group_from_table([[0, 1], [1, 0]], [0, 1])
 
     def test_rejects_no_identity(self):
         # subtraction mod 3: Latin, right identity only

@@ -1,6 +1,9 @@
 """The brute-force enumeration against an even more naive reference, plus
 transversal search and the property suite."""
 
+import gc
+import math
+import random
 import time
 
 import pytest
@@ -8,13 +11,14 @@ import pytest
 from setdirect.catalog import catalog_group, catalog_names, cyclic, quaternion, symmetric
 from setdirect.errors import SearchSpaceTooLarge, TimeBudgetExceeded
 from setdirect.groups import center, generated_subgroup, set_product
+from setdirect import oracle
 from setdirect.oracle import (
     enumerate_setdirect,
     find_normal_transversal,
     property_suite,
 )
 
-from helpers import naive_factorizations, translate_orbit_counts
+from helpers import naive_factorizations, naive_is_direct, relabelled, translate_orbit_counts
 
 
 SMALL_GROUPS = ["C4", "C6", "C8", "C12", "S3", "S4", "D8", "D10", "D12", "Q8",
@@ -106,6 +110,68 @@ class TestShiftOrbitCounts:
         assert (res.total, res.nontrivial, res.normalized) == (2228802, 2228768, 65553)
 
 
+SMALL_CATALOG = [n for n in catalog_names() if catalog_group(n).order <= 32]
+
+# Normalized pair counts of the plain class-union search, before the
+# power-map orbits were used.
+PINNED_NORMALIZED = {"C20": 1001, "C24": 6625, "C27": 6724, "C3xC3xC2": 1513}
+
+
+def naive_exponent(g):
+    orders = []
+    for x in range(g.order):
+        k, y = 1, x
+        while y != g.identity:
+            y, k = g.mult[y][x], k + 1
+        orders.append(k)
+    return math.lcm(*orders)
+
+
+class TestPowerMapOrbits:
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_power_maps_are_automorphisms(self, name):
+        g = catalog_group(name)
+        maps = oracle._power_maps(g)
+        if not g.is_abelian:
+            assert maps == []
+            return
+        e = naive_exponent(g)
+        assert len(maps) == sum(1 for k in range(1, e + 1) if math.gcd(k, e) == 1)
+        assert maps[0] == tuple(range(g.order))
+        assert len(set(maps)) == len(maps)
+        for s in maps:
+            assert sorted(s) == list(range(g.order))
+            for a in range(g.order):
+                for b in range(g.order):
+                    assert s[g.mult[a][b]] == g.mult[s[a]][s[b]]
+
+    def test_non_abelian_builds_no_tables(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("lookup tables built for a non-abelian group")
+
+        monkeypatch.setattr(oracle, "_byte_tables", refuse)
+        for name in ["S4", "D24", "Q8oQ8", "D8oC4"]:
+            enumerate_setdirect(catalog_group(name), normalized_only=True)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_NORMALIZED))
+    def test_listed_pairs_are_the_normalized_factorizations(self, name):
+        # Distinct, normalized, direct with |X||Y| = |G|, and as many as the
+        # plain search found: so the same set as the plain search's.
+        g = catalog_group(name)
+        res = enumerate_setdirect(g, normalized_only=True)
+        keys = [f.unordered_key() for f in res.factorizations]
+        assert len(set(keys)) == len(keys) == res.normalized == PINNED_NORMALIZED[name]
+        for f in res.factorizations:
+            assert g.identity in f.x and g.identity in f.y
+            assert len(f.x) * len(f.y) == g.order
+            assert naive_is_direct(g, f.x.members(), f.y.members())
+
+    def test_relabelled_c24_same_counts(self):
+        g = relabelled(cyclic(24), random.Random(7))
+        res = enumerate_setdirect(g, normalized_only=True)
+        assert (res.total, res.nontrivial, res.normalized) == (159000, 158976, 6625)
+
+
 class TestTimeBudget:
     def test_partial_progress_on_timeout(self):
         with pytest.raises(TimeBudgetExceeded) as info:
@@ -125,6 +191,31 @@ class TestTimeBudget:
         except TimeBudgetExceeded:
             pass
         assert time.perf_counter() - t0 <= 2.0 + BUDGET_MARGIN_S
+
+    def test_sorted_listing_polls_the_deadline(self):
+        rng = random.Random(5)
+        spread = {tuple(sorted((rng.getrandbits(30), rng.getrandbits(30))))
+                  for _ in range(100_000)}
+        # one shared small side, as in C45's 4.8 million pairs with X = <z^15>
+        skewed = {(3, rng.getrandbits(30)) for _ in range(100_000)}
+        for pairs in (spread, skewed):
+            assert oracle._sorted_pairs(pairs, oracle._Deadline(60.0)) == sorted(pairs)
+            with pytest.raises(oracle._OutOfTime):
+                oracle._sorted_pairs(pairs, oracle._Deadline(0.0))
+        small = {(1, 9), (3, 5), (1, 2)}  # one plain sort, no poll
+        assert oracle._sorted_pairs(small, oracle._Deadline(0.0)) == [(1, 2), (1, 9), (3, 5)]
+
+    def test_listing_restores_the_collector(self):
+        g = catalog_group("C12")
+        assert gc.isenabled()
+        enumerate_setdirect(g)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            enumerate_setdirect(g)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestAbelianEnumeration:
