@@ -230,7 +230,8 @@ def catalog_group(name: str) -> GroupTable:
 def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Build a group from the JSON group-specification format.
 
-    Kinds: "permutations" (degree + generators), "table" (mult + labels),
+    Kinds: "permutations" (generators, plus a degree that must be their
+    length if given), "table" (mult + labels),
     "catalog" (name), "central_product" (left/right specs + pairing).  A
     malformed specification raises NotAGroup.
     """
@@ -245,7 +246,12 @@ def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 def _group_from_spec(obj: dict, max_order: int) -> GroupTable:
     kind = obj.get("kind")
     if kind == "permutations":
-        return group_from_permutations(obj["generators"], max_order=max_order)
+        gens = obj["generators"]
+        if "degree" in obj:
+            degree = obj["degree"]
+            if type(degree) is not int or any(len(g) != degree for g in gens):
+                raise NotAGroup(f"degree {degree!r} is not the length of every generator")
+        return group_from_permutations(gens, max_order=max_order)
     if kind == "table":
         return group_from_table(obj["mult"], obj.get("labels"))
     if kind == "catalog":

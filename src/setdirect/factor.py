@@ -61,7 +61,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetDirectFactorization:
     """A pair of normal subsets whose product is direct (when certified)."""
 

@@ -9,6 +9,8 @@ operation in this module is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -57,19 +59,21 @@ class GroupTable:
         "identity",
         "labels",
         "name",
+        "_generators",
         "_classes",
         "_center_mask",
         "_abelian",
         "_label_index",
     )
 
-    def __init__(self, mult, inv, identity, labels, name="G"):
+    def __init__(self, mult, inv, identity, labels, name="G", *, generators=None):
         self.order = len(mult)
         self.mult = tuple(tuple(row) for row in mult)
         self.inv = tuple(inv)
         self.identity = identity
         self.labels = tuple(labels)
         self.name = name
+        self._generators = None if generators is None else tuple(generators)
         self._classes = None
         self._center_mask = None
         self._abelian = None
@@ -98,13 +102,19 @@ class GroupTable:
         return k
 
     @property
+    def generators(self) -> tuple:
+        """A generating set: the one the factory passed on, else a greedy
+        one of at most log2(order) elements, found on first use."""
+        if self._generators is None:
+            self._generators = tuple(_greedy_generators(self.mult, self.identity))
+        return self._generators
+
+    @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
             mult = self.mult
             self._abelian = all(
-                mult[a][b] == mult[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
+                mult[a][b] == mult[b][a] for a, b in combinations(self.generators, 2)
             )
         return self._abelian
 
@@ -154,7 +164,7 @@ class GroupTable:
         return f"GroupTable({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subset:
     """A subset of a fixed group, stored as a bitmask over 0..n-1."""
 
@@ -307,22 +317,18 @@ def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
-    """Light's test.  S = {g : (xy)g = x(yg) for all x, y} is closed under
-    products, so checking a generating set proves associativity at any order.
-    The set is chosen greedily: each element outside the right closure of the
-    earlier ones joins it (at most log2 n elements in a group)."""
+def _greedy_generators(rows, identity: int) -> Iterator[int]:
+    """Yield a generating set greedily: each element outside the right
+    closure of the earlier ones joins them.  Each one at least doubles that
+    closure in a group, so there are at most log2 n.  A caller may test each
+    element before the next one is sought."""
     seen = {identity}
     reached = [identity]
     gens = []
     for g in range(len(rows)):
         if g in seen:
             continue
-        col = a[:, g]
-        bad = col[a] != a[:, col]  # (xy)g != x(yg)
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            raise NotAGroup(f"associativity fails at triple ({x},{y},{g})")
+        yield g
         gens.append(g)
         frontier = list(reached)
         while frontier:
@@ -336,6 +342,28 @@ def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
                         new.append(z)
             reached += new
             frontier = new
+
+
+def _check_associative(a: np.ndarray, rows: list, identity: int) -> tuple:
+    """Light's test.  S = {g : (xy)g = x(yg) for all x, y} is closed under
+    products, so checking a generating set proves associativity at any order.
+    Returns the generating set it checked."""
+    gens = []
+    for g in _greedy_generators(rows, identity):
+        col = a[:, g]
+        bad = col[a] != a[:, col]  # (xy)g != x(yg)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            raise NotAGroup(f"associativity fails at triple ({x},{y},{g})")
+        gens.append(g)
+    return tuple(gens)
+
+
+def _check_integer_types(types: Iterable[type], what: str) -> None:
+    """Raise NotAGroup unless every type is an integer type (bool is not)."""
+    for t in types:
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise NotAGroup(f"{what} of type {t.__name__} is not an integer")
 
 
 def group_from_table(
@@ -359,9 +387,7 @@ def group_from_table(
         if len(row) != n:
             raise NotAGroup(f"table is not square: a row has {len(row)} entries, not {n}")
         types.update(map(type, row))
-    for t in types:
-        if t is bool or not issubclass(t, (int, np.integer)):
-            raise NotAGroup(f"a table entry of type {t.__name__} is not an integer")
+    _check_integer_types(types, "a table entry")
     try:
         a = np.asarray(mult_table, dtype=np.int64)
     except OverflowError:
@@ -388,7 +414,7 @@ def group_from_table(
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
     rows = a.tolist()
-    _check_associative(a, rows, identity)
+    gens = _check_associative(a, rows, identity)
 
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -396,7 +422,7 @@ def group_from_table(
         raise NotAGroup("labels length does not match order")
     elif not all(isinstance(label, str) for label in labels):
         raise NotAGroup("labels are not all strings")
-    return GroupTable(rows, inv.tolist(), identity, labels, name=name)
+    return GroupTable(rows, inv.tolist(), identity, labels, name=name, generators=gens)
 
 
 def _cycle_label(perm: Sequence[int]) -> str:
@@ -425,52 +451,59 @@ def group_from_permutations(
 ) -> GroupTable:
     """Close a set of permutations of 0..d-1 under composition.
 
-    Element 0 is the identity; labels are cycle notations.  Closure is
-    breadth-first right-multiplication by the generators.
+    Each generator lists the images of 0..d-1: d integers (a bool, float or
+    string is not one), all generators of the same length d.  Element 0 is
+    the identity; labels are cycle notations.  Closure is breadth-first
+    right-multiplication by the generators, which also gives the table:
+    element j is its parent p times a generator g, so row j is row p read
+    through the left multiplication by g, an index list of n entries.  The
+    distinct generators are kept as the group's generating set.
     """
     if not generators:
         raise EmptyGeneratingSet("need at least one generator")
-    d = len(generators[0])
     gens = []
     for g in generators:
-        t = tuple(g)
+        try:
+            t = tuple(g)
+        except TypeError:
+            raise NotAGroup(f"generator {g!r} is not a sequence of integers") from None
+        _check_integer_types(set(map(type, t)), f"an entry of generator {g!r}")
+        d = len(gens[0]) if gens else len(t)
         if len(t) != d or sorted(t) != list(range(d)):
             raise NotAGroup(f"generator {g!r} is not a permutation of 0..{d-1}")
-        gens.append(t)
-
+        gens.append(tuple(map(int, t)))
     ident = tuple(range(d))
+    # neither a repeat nor the identity adds an element or changes their order
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+
     index = {ident: 0}
     elems = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(d))  # p after g
-                if q not in index:
-                    if len(elems) >= max_order:
-                        raise OrderLimitExceeded(
-                            f"closure exceeds max order {max_order}"
-                        )
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    parent, via = [0], [0]  # elems[j] = elems[parent[j]] after gens[via[j]]
+    for i, p in enumerate(elems):  # elems grows while it is read: breadth-first
+        for k, g in enumerate(gens):
+            q = tuple(map(p.__getitem__, g))  # p after g
+            if q not in index:
+                if len(elems) >= max_order:
+                    raise OrderLimitExceeded(
+                        f"closure exceeds max order {max_order}"
+                    )
+                index[q] = len(elems)
+                elems.append(q)
+                parent.append(i)
+                via.append(k)
 
     n = len(elems)
-    mult = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            r = tuple(p[q[t]] for t in range(d))  # apply q, then p
-            mult[i][j] = index[r]
-    inv = [0] * n
-    for i, p in enumerate(elems):
-        ip = [0] * d
-        for t in range(d):
-            ip[p[t]] = t
-        inv[i] = index[tuple(ip)]
+    # left[k][y] = index of g_k after elems[y]; then for elems[j] = p g_k,
+    # (p g_k) elems[y] = p (g_k elems[y]) gives row j from row p
+    left = [itemgetter(*[index[tuple(map(g.__getitem__, q))] for q in elems]) for g in gens]
+    mult = [tuple(range(n))]
+    for j in range(1, n):
+        mult.append(left[via[j]](mult[parent[j]]))
+    inv = [row.index(0) for row in mult]
     labels = [_cycle_label(p) for p in elems]
-    return GroupTable(mult, inv, 0, labels, name=name)
+    return GroupTable(
+        mult, inv, 0, labels, name=name, generators=[index[g] for g in gens]
+    )
 
 
 def direct_product(A: GroupTable, B: GroupTable, *, name: Optional[str] = None) -> GroupTable:
@@ -560,30 +593,33 @@ def central_product_embedding(
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    """Partition into conjugacy classes, ordered by minimal member."""
+    """Partition into conjugacy classes, ordered by minimal member.
+
+    A class is the orbit of conjugation by G, and so the closure under
+    conjugation by a generating set: n * |gens| lookups, not n^2."""
     if G._classes is not None:
         return G._classes
     n = G.order
     mult, inv = G.mult, G.inv
+    # conj[y] = g^-1 y g, one index list per generator g
+    conjs = [[mult[w][g] for w in mult[inv[g]]] for g in G.generators]
     class_of = [-1] * n
     classes = []
     for x in range(n):
         if class_of[x] >= 0:
             continue
         idx = len(classes)
-        orbit = [x]
         class_of[x] = idx
         mask = 1 << x
         stack = [x]
         while stack:
             y = stack.pop()
-            for g in range(n):
-                z = mult[mult[inv[g]][y]][g]
+            for conj in conjs:
+                z = conj[y]
                 if class_of[z] < 0:
                     class_of[z] = idx
                     mask |= 1 << z
                     stack.append(z)
-                    orbit.append(z)
         classes.append(Subset(G, mask))
     part = ClassPartition(G, tuple(classes), tuple(class_of))
     G._classes = part
@@ -591,13 +627,14 @@ def conjugacy_classes(G: GroupTable) -> ClassPartition:
 
 
 def center(G: GroupTable) -> Subset:
-    """The subset of elements commuting with everything."""
+    """The subset of elements commuting with everything, that is with a
+    generating set."""
     if G._center_mask is None:
-        n, mult = G.order, G.mult
+        mult, gens = G.mult, G.generators
         m = 0
-        for z in range(n):
+        for z in range(G.order):
             row = mult[z]
-            if all(row[g] == mult[g][z] for g in range(n)):
+            if all(row[g] == mult[g][z] for g in gens):
                 m |= 1 << z
         G._center_mask = m
     return Subset(G, G._center_mask)

@@ -482,27 +482,27 @@ def enumerate_setdirect(
     found = _Found()
     try:
         pairs = _normalized_pairs(G, deadline, candidate_cap, found)
-        total, nontrivial = _orbit_counts(G, found.weights)
         listed = pairs if normalized_only else _expand(G, pairs, expansion_cap, deadline)
         if nontrivial_only:  # a normal singleton is central
             listed = [(xm, ym) for xm, ym in listed
                       if xm.bit_count() > 1 and ym.bit_count() > 1]
         facts = _factorization_list(G, listed, deadline)
     except _OutOfTime:
-        total, nontrivial = _orbit_counts(G, found.weights)
-        partial = EnumerationResult(
-            G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
+        facts = None  # raised below, so the exception keeps no search frame as context
+    total, nontrivial = _orbit_counts(G, found.weights)
+    if facts is not None:
+        return EnumerationResult(
+            G.name, facts, total, nontrivial, len(pairs), time.perf_counter() - start
         )
-        raise TimeBudgetExceeded(
-            f"time budget {time_budget}s exhausted on {G.name}", partial=partial
-        )
-    return EnumerationResult(
-        G.name,
-        facts,
-        total,
-        nontrivial,
-        len(pairs),
-        time.perf_counter() - start,
+    partial = EnumerationResult(
+        G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
+    )
+    # The search's closures refer to themselves and hold the pairs: free
+    # them now, not at whatever collection follows the caller's handler.
+    found.pairs.clear()
+    pairs = listed = None
+    raise TimeBudgetExceeded(
+        f"time budget {time_budget}s exhausted on {G.name}", partial=partial
     )
 
 

@@ -11,6 +11,7 @@ from itertools import combinations
 from setdirect.groups import (
     GroupTable,
     Subset,
+    _cycle_label,
     conjugacy_classes,
     group_from_table,
     mask_of,
@@ -133,3 +134,63 @@ def relabelled(G: GroupTable, rng: random.Random) -> GroupTable:
     for a in range(n):
         labels[new[a]] = G.labels[a]
     return group_from_table(mult, labels, name=G.name)
+
+
+def reference_group_from_permutations(generators) -> GroupTable:
+    """The permutation group built by composing tuples for every table entry.
+
+    Same element order as the library's builder (breadth-first closure by
+    right multiplication, identity first), so the tables must be equal.
+    """
+    gens = [tuple(g) for g in generators]
+    d = len(gens[0])
+    ident = tuple(range(d))
+    index = {ident: 0}
+    elems = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[g[i]] for i in range(d))  # p after g
+                if q not in index:
+                    index[q] = len(elems)
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    n = len(elems)
+    mult = [[0] * n for _ in range(n)]
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            mult[i][j] = index[tuple(p[q[t]] for t in range(d))]  # apply q, then p
+    inv = [0] * n
+    for i, p in enumerate(elems):
+        ip = [0] * d
+        for t in range(d):
+            ip[p[t]] = t
+        inv[i] = index[tuple(ip)]
+    return GroupTable(mult, inv, 0, [_cycle_label(p) for p in elems], name="reference")
+
+
+def naive_classes(G: GroupTable):
+    """(class masks ordered by minimal member, class_of) by conjugating
+    every element by every element."""
+    n = G.order
+    masks, class_of = [], [-1] * n
+    for x in range(n):
+        if class_of[x] < 0:
+            cls = {G.mult[G.mult[G.inv[g]][x]][g] for g in range(n)}
+            for y in cls:
+                class_of[y] = len(masks)
+            masks.append(mask_of(cls))
+    return masks, class_of
+
+
+def naive_center(G: GroupTable) -> int:
+    n = G.order
+    return mask_of(z for z in range(n) if all(G.mult[z][g] == G.mult[g][z] for g in range(n)))
+
+
+def naive_is_abelian(G: GroupTable) -> bool:
+    n = G.order
+    return all(G.mult[a][b] == G.mult[b][a] for a in range(n) for b in range(n))

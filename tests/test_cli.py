@@ -239,9 +239,13 @@ class TestGroupFiles:
             json.dumps([{"kind": "catalog", "name": "C4"}]),
             '{"kind": "catalog", "name": ',
             None,
+            json.dumps({"kind": "permutations", "generators": [[True, False]]}),
+            json.dumps({"kind": "permutations", "generators": [[1.0, 0.0]]}),
+            json.dumps({"kind": "permutations", "degree": 5, "generators": [[1, 0]]}),
         ],
         ids=["ragged-table", "float-entry", "int-labels", "no-generators",
-             "top-level-list", "invalid-json", "missing-file"],
+             "top-level-list", "invalid-json", "missing-file", "bool-generator",
+             "float-generator", "degree-mismatch"],
     )
     def test_malformed_file_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
@@ -275,9 +279,24 @@ def table_specs(draw):
     return spec
 
 
-@given(spec=table_specs())
-@settings(derandomize=True, max_examples=150, deadline=None)
-def test_fuzz_table_files_exit_cleanly(spec):
+@st.composite
+def permutation_specs(draw):
+    """"permutations" group specs of degree at most 5, often ragged or
+    mistyped, with a "degree" key that is absent, matching or arbitrary."""
+    d = draw(st.integers(min_value=0, max_value=5))
+    generator = st.permutations(range(d)) | st.lists(
+        ENTRIES, min_size=max(d - 1, 0), max_size=d + 1)
+    spec = {"kind": "permutations",
+            "generators": draw(st.lists(generator, min_size=0, max_size=3))}
+    degree = draw(st.sampled_from(["absent", "matching", "arbitrary"]))
+    if degree == "matching":
+        spec["degree"] = d
+    elif degree == "arbitrary":
+        spec["degree"] = draw(ENTRIES)
+    return spec
+
+
+def _info_exit_clean(spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.json"
         path.write_text(json.dumps(spec))
@@ -286,3 +305,15 @@ def test_fuzz_table_files_exit_cleanly(spec):
             code = main(["info", str(path), "--json"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@given(spec=table_specs())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fuzz_table_files_exit_cleanly(spec):
+    _info_exit_clean(spec)
+
+
+@given(spec=permutation_specs())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fuzz_permutation_files_exit_cleanly(spec):
+    _info_exit_clean(spec)

@@ -1,11 +1,15 @@
 """Group construction, classes, centers, products, quotients."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setdirect.catalog import (
     alternating,
     catalog_group,
+    catalog_names,
     cyclic,
     cyclic_product,
     dihedral,
@@ -19,7 +23,10 @@ from setdirect.errors import (
     NotNormalSubgroup,
     OrderLimitExceeded,
 )
+from setdirect.factor import SetDirectFactorization
 from setdirect.groups import (
+    Subset,
+    _closure_mask,
     center,
     central_product_embedding,
     commutator_set,
@@ -31,10 +38,18 @@ from setdirect.groups import (
     left_cosets,
     quotient_group,
     set_product,
+    mask_of,
     subgroup_view,
 )
 
-from helpers import naive_closure
+from helpers import (
+    naive_center,
+    naive_classes,
+    naive_closure,
+    naive_is_abelian,
+    reference_group_from_permutations,
+    relabelled,
+)
 
 
 class TestGroupFromTable:
@@ -180,6 +195,123 @@ class TestGroupFromPermutations:
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAGroup):
             group_from_permutations([(0, 0, 1)])
+
+    @pytest.mark.parametrize(
+        "generators",
+        [[[True, False]], [[1.0, 0.0]], [[1, 0], ["0", "1"]], [[1, 0], [1, 2, 0]], [[1, 0], 5]],
+        ids=["bool", "float", "string", "two-degrees", "not-a-sequence"],
+    )
+    def test_rejects_non_integer_or_ragged_generators(self, generators):
+        with pytest.raises(NotAGroup):
+            group_from_permutations(generators)
+
+    def test_accepts_numpy_integers(self):
+        g = group_from_permutations([np.array([1, 2, 0])])
+        assert g.order == 3
+        assert g.labels == ("()", "(0 1 2)", "(0 2 1)")
+
+    def test_repeated_and_identity_generators(self):
+        g = group_from_permutations([(1, 0, 2), (0, 1, 2), (1, 2, 0), (1, 0, 2)])
+        ref = reference_group_from_permutations([(1, 0, 2), (0, 1, 2), (1, 2, 0), (1, 0, 2)])
+        assert (g.mult, g.inv, g.labels) == (ref.mult, ref.inv, ref.labels)
+        assert g.generators == (1, 2)
+        assert group_from_permutations([(0, 1)]).generators == ()
+
+
+def _cycles(degree, *cycles):
+    p = list(range(degree))
+    for cyc in cycles:
+        for i, a in enumerate(cyc):
+            p[a] = cyc[(i + 1) % len(cyc)]
+    return p
+
+
+# generator sets of the permutation groups the catalog and the CLI files use
+PERMUTATION_GROUPS = {
+    "S3": [_cycles(3, [0, 1]), _cycles(3, [0, 1, 2])],
+    "S4": [_cycles(4, [0, 1]), _cycles(4, [0, 1, 2, 3])],
+    "S5": [_cycles(5, [0, 1]), _cycles(5, [0, 1, 2, 3, 4])],
+    "A4": [_cycles(4, [0, 1, 2]), _cycles(4, [0, 1, 3])],
+    "A5": [_cycles(5, [0, 1, 2]), _cycles(5, [0, 1, 3]), _cycles(5, [0, 1, 4])],
+    "D10": [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)],
+    "S6": [_cycles(6, [0, 1]), _cycles(6, [0, 1, 2, 3, 4, 5])],
+    "S4xS3": [_cycles(7, [0, 1]), _cycles(7, [0, 1, 2, 3]), _cycles(7, [4, 5]),
+              _cycles(7, [4, 5, 6])],
+    "C2wrC4": [_cycles(8, [0, 1]), _cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])],
+}
+
+
+def _assert_structure_matches_naive(g):
+    masks, class_of = naive_classes(g)
+    part = conjugacy_classes(g)
+    assert [c.mask for c in part.classes] == masks
+    assert list(part.class_of) == class_of
+    assert center(g).mask == naive_center(g)
+    assert g.is_abelian == naive_is_abelian(g)
+
+
+class TestTablesFromGenerators:
+    """The index-arithmetic table build, and classes, centre and
+    commutativity from a generating set, against all-element references."""
+
+    @pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+    def test_permutation_table_matches_reference(self, name):
+        gens = PERMUTATION_GROUPS[name]
+        g = group_from_permutations(gens)
+        ref = reference_group_from_permutations(gens)
+        assert g.mult == ref.mult
+        assert g.inv == ref.inv
+        assert g.labels == ref.labels
+        _assert_structure_matches_naive(g)
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)
+        )
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_random_permutation_groups_match_reference(self, gens):
+        g = group_from_permutations(gens)
+        ref = reference_group_from_permutations(gens)
+        assert (g.mult, g.inv, g.labels) == (ref.mult, ref.inv, ref.labels)
+        _assert_structure_matches_naive(g)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_group(n).order <= 64]
+    )
+    def test_catalog_structure_matches_naive(self, name):
+        _assert_structure_matches_naive(catalog_group(name))
+
+    def test_relabelled_table_structure_matches_naive(self):
+        g = relabelled(catalog_group("C24"), random.Random(3))
+        _assert_structure_matches_naive(g)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_group(n).order <= 32]
+    )
+    def test_cached_generating_set_generates(self, name):
+        g = catalog_group(name)
+        gens = g.generators
+        assert g.generators is gens
+        assert _closure_mask(g, mask_of(gens)) == g.full_mask
+        assert 2 ** len(gens) <= g.order
+
+    def test_table_check_passes_on_its_generating_set(self):
+        g = group_from_table([list(r) for r in catalog_group("Q8oC4").mult])
+        assert g._generators is not None  # kept from Light's test, not searched again
+        assert _closure_mask(g, mask_of(g.generators)) == g.full_mask
+
+
+class TestSlots:
+    def test_subsets_and_factorizations_have_no_dict(self):
+        g = catalog_group("C4")
+        x = Subset(g, 0b0011)
+        f = SetDirectFactorization(g, x, Subset(g, 0b0101), True)
+        for obj in (x, f):
+            assert not hasattr(obj, "__dict__")
+        assert x == Subset(g, 0b0011) and hash(x) == hash(Subset(g, 0b0011))
+        with pytest.raises(AttributeError):
+            x.mask = 1
 
 
 class TestCentralProduct:
