@@ -66,14 +66,14 @@ class GroupTable:
         "_label_index",
     )
 
-    def __init__(self, mult, inv, identity, labels, name="G", *, generators=None):
+    def __init__(self, mult, inv, identity, labels, name="G"):
         self.order = len(mult)
         self.mult = tuple(tuple(row) for row in mult)
         self.inv = tuple(inv)
         self.identity = identity
         self.labels = tuple(labels)
         self.name = name
-        self._generators = None if generators is None else tuple(generators)
+        self._generators = None
         self._classes = None
         self._center_mask = None
         self._abelian = None
@@ -103,8 +103,8 @@ class GroupTable:
 
     @property
     def generators(self) -> tuple:
-        """A generating set: the one the factory passed on, else a greedy
-        one of at most log2(order) elements, found on first use."""
+        """A generating set of at most log2(order) elements, found greedily
+        on first use: the set Light's test checks on a table."""
         if self._generators is None:
             self._generators = tuple(_greedy_generators(self.mult, self.identity))
         return self._generators
@@ -344,19 +344,15 @@ def _greedy_generators(rows, identity: int) -> Iterator[int]:
             frontier = new
 
 
-def _check_associative(a: np.ndarray, rows: list, identity: int) -> tuple:
+def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
     """Light's test.  S = {g : (xy)g = x(yg) for all x, y} is closed under
-    products, so checking a generating set proves associativity at any order.
-    Returns the generating set it checked."""
-    gens = []
+    products, so checking a generating set proves associativity at any order."""
     for g in _greedy_generators(rows, identity):
         col = a[:, g]
         bad = col[a] != a[:, col]  # (xy)g != x(yg)
         if bad.any():
             x, y = np.argwhere(bad)[0]
             raise NotAGroup(f"associativity fails at triple ({x},{y},{g})")
-        gens.append(g)
-    return tuple(gens)
 
 
 def _check_integer_types(types: Iterable[type], what: str) -> None:
@@ -414,7 +410,7 @@ def group_from_table(
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
     rows = a.tolist()
-    gens = _check_associative(a, rows, identity)
+    _check_associative(a, rows, identity)
 
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -422,7 +418,7 @@ def group_from_table(
         raise NotAGroup("labels length does not match order")
     elif not all(isinstance(label, str) for label in labels):
         raise NotAGroup("labels are not all strings")
-    return GroupTable(rows, inv.tolist(), identity, labels, name=name, generators=gens)
+    return GroupTable(rows, inv.tolist(), identity, labels, name=name)
 
 
 def _cycle_label(perm: Sequence[int]) -> str:
@@ -456,8 +452,7 @@ def group_from_permutations(
     the identity; labels are cycle notations.  Closure is breadth-first
     right-multiplication by the generators, which also gives the table:
     element j is its parent p times a generator g, so row j is row p read
-    through the left multiplication by g, an index list of n entries.  The
-    distinct generators are kept as the group's generating set.
+    through the left multiplication by g, an index list of n entries.
     """
     if not generators:
         raise EmptyGeneratingSet("need at least one generator")
@@ -499,11 +494,10 @@ def group_from_permutations(
     mult = [tuple(range(n))]
     for j in range(1, n):
         mult.append(left[via[j]](mult[parent[j]]))
-    inv = [row.index(0) for row in mult]
+    # the inverse of p sends p[t] back to t: the points sorted by their images
+    inv = [index[tuple(sorted(range(d), key=p.__getitem__))] for p in elems]
     labels = [_cycle_label(p) for p in elems]
-    return GroupTable(
-        mult, inv, 0, labels, name=name, generators=[index[g] for g in gens]
-    )
+    return GroupTable(mult, inv, 0, labels, name=name)
 
 
 def direct_product(A: GroupTable, B: GroupTable, *, name: Optional[str] = None) -> GroupTable:

@@ -72,8 +72,14 @@ class _Deadline:
         self.calls = 0
 
     def poll(self):
+        """Read the clock once in 4096 calls: before a step of little work."""
         self.calls += 1
-        if self.calls & 0xFFF == 0 and time.perf_counter() > self.t_end:
+        if self.calls & 0xFFF == 0:
+            self.check()
+
+    def check(self):
+        """Read the clock now: before a step of much work, such as a sort."""
+        if time.perf_counter() > self.t_end:
             raise _OutOfTime
 
 
@@ -161,6 +167,9 @@ def _sorted_pairs(pairs, deadline: _Deadline) -> list:
     poll (3.4 s for the 4.8 million of them that share the side <z^15>,
     2-vCPU host).  So a large input is bucketed by a in a pass that polls
     the deadline, and a large bucket is split further by _sorted_by_b.
+    The clock is read before each bucket's sort: C44's 3.2 million pairs
+    fall into 61 079 buckets, and sorting them all took up to 5 s on a
+    2-vCPU host.
     """
     if len(pairs) <= _SORT_CHUNK:
         return sorted(pairs)
@@ -174,6 +183,7 @@ def _sorted_pairs(pairs, deadline: _Deadline) -> list:
             bucket.append(p)
     out = []
     for a in sorted(by_a):
+        deadline.check()
         bucket = by_a[a]
         out += sorted(bucket) if len(bucket) <= _SORT_CHUNK else _sorted_by_b(bucket, deadline)
     return out
@@ -197,6 +207,7 @@ def _sorted_by_b(pairs: list, deadline: _Deadline) -> list:
         parts[(p[1] - least) >> shift].append(p)
     out = []
     for part in parts:
+        deadline.check()
         out += sorted(part) if len(part) <= _SORT_CHUNK else _sorted_by_b(part, deadline)
     return out
 
@@ -497,10 +508,6 @@ def enumerate_setdirect(
     partial = EnumerationResult(
         G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
     )
-    # The search's closures refer to themselves and hold the pairs: free
-    # them now, not at whatever collection follows the caller's handler.
-    found.pairs.clear()
-    pairs = listed = None
     raise TimeBudgetExceeded(
         f"time budget {time_budget}s exhausted on {G.name}", partial=partial
     )

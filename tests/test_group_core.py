@@ -296,10 +296,10 @@ class TestTablesFromGenerators:
         assert _closure_mask(g, mask_of(gens)) == g.full_mask
         assert 2 ** len(gens) <= g.order
 
-    def test_table_check_passes_on_its_generating_set(self):
+    def test_table_group_generating_set_generates(self):
         g = group_from_table([list(r) for r in catalog_group("Q8oC4").mult])
-        assert g._generators is not None  # kept from Light's test, not searched again
         assert _closure_mask(g, mask_of(g.generators)) == g.full_mask
+        assert 2 ** len(g.generators) <= g.order
 
 
 class TestSlots:
