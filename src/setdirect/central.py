@@ -19,6 +19,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     Subset,
+    SubgroupView,
     _closure_mask,
     _is_subgroup_mask,
     _product_mask,
@@ -29,6 +30,7 @@ from .groups import (
     conjugacy_classes,
     is_normal_subset,
     mask_of,
+    subgroup_view,
 )
 
 DEFAULT_ENUMERATION_BOUND = 512
@@ -39,8 +41,9 @@ class CentralDecomposition:
     """A certified triple (M, N, Z): normal subgroups with MN = G, mutually
     centralizing, and Z = M intersect N central in G.
 
-    Only is_central_product and enumerate_central_decompositions issue one.
-    The Z-orbits on the classes inside M and N are computed on first use and
+    Only _central_product issues one, once per (M, N) of a group, so every
+    caller holding that pair shares it.  The Z-orbits on the classes inside
+    M and N and the view of Z as its own table are computed on first use and
     kept for the life of the decomposition.
     """
 
@@ -55,6 +58,10 @@ class CentralDecomposition:
     @cached_property
     def n_orbits(self) -> ZActionData:
         return _z_orbits(self.z.group, self.n.mask, self.z.mask)
+
+    @cached_property
+    def z_view(self) -> SubgroupView:
+        return subgroup_view(self.z.group, self.z)
 
 
 @dataclass(frozen=True)
@@ -86,7 +93,23 @@ def is_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductChe
 
 
 def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck:
-    """is_central_product for M, N already known to be normal subgroups."""
+    """is_central_product for M, N already known to be normal subgroups.
+
+    The outcome depends on G and the two masks alone, so it is computed once
+    per (M, N) and kept on the table: the verifier, derive_system and
+    construct_from_system then share one decomposition and its orbits.
+    """
+    memo = G._central_products
+    if memo is None:
+        memo = G._central_products = {}
+    key = (M.mask, N.mask)
+    check = memo.get(key)
+    if check is None:
+        check = memo[key] = _certify_central_product(G, M, N)
+    return check
+
+
+def _certify_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck:
     fail = lambda reason: CentralProductCheck(None, reason)
     if _product_mask(G, M.mask, N.mask) != G.full_mask:
         return fail("ProductNotG")

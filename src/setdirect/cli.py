@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .catalog import catalog_group, catalog_names, load_group
@@ -332,7 +333,10 @@ def cmd_suite(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, each returns a new namespace."""
     p = argparse.ArgumentParser(
         prog="setdirect",
         description="Verify, construct and enumerate set-direct factorizations "

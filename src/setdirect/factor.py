@@ -168,19 +168,22 @@ class MainTheoremReport:
     verdict: bool
 
 
-def _slices(G: GroupTable, subgroup: Subset, part_mask: int, Z: Subset, z_central: bool):
+def _slices(
+    G: GroupTable, subgroup: Subset, part_mask: int, Z: Subset, action: Optional[ZActionData]
+):
     """Deduplicated slices (m^-1 X) intersect Z, keyed by representative m.
 
-    With a central Z the slice depends only on the conjugacy class of m, and
-    slices at classes in the same Z-orbit are translates of one another, so
-    one representative per Z-orbit suffices.  Otherwise slices are
-    deduplicated by their actual value.
+    With a central Z, `action` holds its orbits on the classes inside the
+    subgroup: the slice depends only on the conjugacy class of m, and slices
+    at classes in the same Z-orbit are translates of one another, so one
+    representative per Z-orbit suffices.  Otherwise (`action` None) slices
+    are deduplicated by their actual value.
     """
     part = conjugacy_classes(G)
     inv, zm = G.inv, Z.mask
     out = {}
-    if z_central:
-        for orbit in _z_orbits(G, subgroup.mask, Z.mask).orbits:
+    if action is not None:
+        for orbit in action.orbits:
             m = part.classes[orbit.classes[0]].members()[0]
             out[m] = Subset(G, _ltrans(G, inv[m], part_mask) & zm)
         return out
@@ -209,9 +212,15 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     check = _central_product(G, M, N)  # <X> and <Y> are normal subgroups
     condition_a = bool(check)
 
-    z_is_central = Z.mask & ~center(G).mask == 0
-    x_slices = _slices(G, M, X.mask, Z, z_central=z_is_central)
-    y_slices = _slices(G, N, Y.mask, Z, z_central=z_is_central)
+    if condition_a:  # the decomposition keeps its orbits
+        cp = check.decomposition
+        m_action, n_action = cp.m_orbits, cp.n_orbits
+    elif Z.mask & ~center(G).mask == 0:
+        m_action, n_action = _z_orbits(G, M.mask, Z.mask), _z_orbits(G, N.mask, Z.mask)
+    else:
+        m_action = n_action = None
+    x_slices = _slices(G, M, X.mask, Z, m_action)
+    y_slices = _slices(G, N, Y.mask, Z, n_action)
 
     zmask = Z.mask
     zsize = len(Z)
@@ -412,7 +421,7 @@ def system_for_decomposition(
     """Build a system indexed by the Z-orbits of cp, with the orbit
     stabilizers as the prescribed subgroups.  The A_i/B_j may be given either
     in the ambient group (contained in Z) or already in the view table."""
-    view = subgroup_view(G, cp.z)
+    view = cp.z_view
     om, on = cp.m_orbits, cp.n_orbits
     if len(a_sets) != len(om.orbits) or len(b_sets) != len(on.orbits):
         raise SystemMismatch(

@@ -1,19 +1,22 @@
 """Finite groups as dense multiplication tables, with subsets as bitmasks.
 
 Elements are integers 0..n-1.  A Subset is an immutable bitmask over the
-element range of a fixed GroupTable.  Tables, partitions and subsets never
-mutate after construction, so they are safe to share across workers; every
-operation in this module is a pure function of its inputs.
+element range of a fixed GroupTable.  The table, partitions and subsets
+never change after construction.  A table also carries caches of what is
+derived from it alone: a generating set, the classes, the centre, the label
+index, and the central-product checks keyed by a pair of subgroup masks.
+Each is filled on first use and gives the same result on every use, so
+every operation in this module is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     EmptyGeneratingSet,
@@ -64,6 +67,7 @@ class GroupTable:
         "_center_mask",
         "_abelian",
         "_label_index",
+        "_central_products",
     )
 
     def __init__(self, mult, inv, identity, labels, name="G"):
@@ -78,6 +82,7 @@ class GroupTable:
         self._center_mask = None
         self._abelian = None
         self._label_index = None
+        self._central_products = None  # (M mask, N mask) -> check; see central.py
 
     # -- element arithmetic -------------------------------------------------
 
@@ -344,9 +349,12 @@ def _greedy_generators(rows, identity: int) -> Iterator[int]:
             frontier = new
 
 
-def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
-    """Light's test.  S = {g : (xy)g = x(yg) for all x, y} is closed under
-    products, so checking a generating set proves associativity at any order."""
+def _check_associative(a, rows: list, identity: int) -> None:
+    """Light's test on the table as an int64 array `a`.  S = {g : (xy)g =
+    x(yg) for all x, y} is closed under products, so checking a generating
+    set proves associativity at any order."""
+    import numpy as np
+
     for g in _greedy_generators(rows, identity):
         col = a[:, g]
         bad = col[a] != a[:, col]  # (xy)g != x(yg)
@@ -358,7 +366,7 @@ def _check_associative(a: np.ndarray, rows: list, identity: int) -> None:
 def _check_integer_types(types: Iterable[type], what: str) -> None:
     """Raise NotAGroup unless every type is an integer type (bool is not)."""
     for t in types:
-        if t is bool or not issubclass(t, (int, np.integer)):
+        if t is bool or not issubclass(t, Integral):
             raise NotAGroup(f"{what} of type {t.__name__} is not an integer")
 
 
@@ -375,6 +383,8 @@ def group_from_table(
     associativity (Light's test, at every order); labels, if given, are n
     strings.
     """
+    import numpy as np  # only tables need it; imported here to keep start-up fast
+
     n = len(mult_table)
     if n == 0:
         raise NotAGroup("empty table")
@@ -682,10 +692,6 @@ def set_product(G: GroupTable, A: Subset, B: Subset):
     return Subset(G, mask_of(counts)), counts
 
 
-def is_subgroup(G: GroupTable, S: Subset) -> bool:
-    return _is_subgroup_mask(G, S.mask)
-
-
 def left_cosets(G: GroupTable, H: Subset):
     """Left cosets of a subgroup: (representatives, coset_of index array)."""
     if not _is_subgroup_mask(G, H.mask):
@@ -742,15 +748,19 @@ class SubgroupView:
     parent: GroupTable
     to_parent: tuple
 
-    @property
+    @cached_property
     def carrier(self) -> Subset:
         return Subset(self.parent, mask_of(self.to_parent))
 
+    @cached_property
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self.to_parent)}
+
     def index_in_view(self, parent_element: int) -> int:
         try:
-            return self.to_parent.index(parent_element)
-        except ValueError:
-            raise ValueError("element does not belong to the viewed subgroup")
+            return self._index[parent_element]
+        except KeyError:
+            raise ValueError("element does not belong to the viewed subgroup") from None
 
     def pull(self, S: Subset) -> Subset:
         """Map a parent subset contained in the carrier into the view."""
@@ -758,8 +768,8 @@ class SubgroupView:
             raise ValueError("subset belongs to a different group")
         if S.mask & ~self.carrier.mask:
             raise ValueError("subset is not contained in the viewed subgroup")
-        lookup = {p: i for i, p in enumerate(self.to_parent)}
-        return self.table.subset(lookup[x] for x in bits(S.mask))
+        index = self._index
+        return self.table.subset(index[x] for x in bits(S.mask))
 
     def push(self, S: Subset) -> Subset:
         """Map a view subset back into the parent group."""

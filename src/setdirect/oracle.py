@@ -375,9 +375,13 @@ def _normalized_pairs(
 
             # Y is normalized too: it must contain the identity class.
             init = x_times(id_class)
-            if init != -1:
-                dfs(init, e - sizes[id_class], cmasks[id_class])
-            del dfs  # it refers to itself: free it now, not at a later collection
+            try:
+                if init != -1:
+                    dfs(init, e - sizes[id_class], cmasks[id_class])
+            finally:
+                # dfs refers to itself: break that cycle here, on a time-out
+                # too, so that no later collection has to free the search
+                del dfs
         del covered_x  # a later split has another |X|, so none of it recurs
     return _sorted_pairs(pairs, deadline)
 

@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from setdirect.cli import main, parse_subset
+from setdirect.cli import build_parser, main, parse_subset
 from setdirect.catalog import catalog_group
 from setdirect.errors import GroupError
 
@@ -76,6 +79,37 @@ class TestInfo:
         code, _, err = run(capsys, "info", "S4")
         assert code == 2
         assert "SETDIRECT_MAX_ORDER" in err and "Traceback" not in err
+
+    def test_one_parser_keeps_no_state_between_calls(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "info", "C4", "--json")
+        assert code == 0 and json.loads(out)["order"] == 4
+        code, out, _ = run(capsys, "info", "C4")
+        assert code == 0 and out.startswith("group C4: order 4")
+        code, out, _ = run(capsys, "verify", "C4", "0", "0,1", "--direct")
+        assert code == 0 and "condition_a" not in json.loads(out)
+        code, out, _ = run(capsys, "verify", "C4", "0", "0,1")
+        assert code == 1 and json.loads(out)["condition_a"] is True
+
+
+def test_cli_start_up_leaves_numpy_unimported():
+    # numpy serves only tables given as tables; catalog groups do not need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import setdirect.cli\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "setdirect.cli.main(['info', 'C4'])\n"
+        "print(after_import, 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 class TestVerify:

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import time
+import types
 
 import pytest
 
@@ -192,6 +193,15 @@ class TestTimeBudget:
         assert partial.nontrivial <= partial.total
         assert partial.factorizations == []
         _assert_no_search_frames(info.value)
+        del info
+        # the search's self-referencing DFS closures went with the time-out,
+        # so no collection has to walk the partial pairs to free them
+        assert not [
+            f
+            for f in gc.get_objects()
+            if isinstance(f, types.FunctionType)
+            and f.__qualname__ == "_normalized_pairs.<locals>.dfs"
+        ]
 
     def test_timeout_in_the_listing_keeps_no_search_frames(self, monkeypatch):
         g = catalog_group("C24")

@@ -1,12 +1,16 @@
 """Directness tests, the structural verifier, factorization systems,
 and the constructive routines."""
 
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
+from setdirect import central, factor
+
 from setdirect.catalog import (
     catalog_group,
+    catalog_names,
     central_product_entry,
     cyclic,
     cyclic_product,
@@ -15,7 +19,12 @@ from setdirect.catalog import (
     quaternion,
     symmetric,
 )
-from setdirect.central import is_central_product, z_orbits
+from setdirect.central import (
+    enumerate_central_decompositions,
+    is_central_product,
+    normal_subgroups,
+    z_orbits,
+)
 from setdirect.errors import (
     ContainmentViolated,
     EmptySet,
@@ -32,6 +41,7 @@ from setdirect.errors import (
 )
 from setdirect.factor import (
     FactorizationSystem,
+    SetDirectFactorization,
     certify,
     check_factorization_system,
     construct_from_system,
@@ -47,6 +57,9 @@ from setdirect.factor import (
     verify_main_theorem,
 )
 from setdirect.groups import (
+    GroupTable,
+    Subset,
+    bits,
     center,
     commutator_set,
     conjugacy_classes,
@@ -55,6 +68,8 @@ from setdirect.groups import (
 )
 
 from helpers import naive_is_direct
+
+SMALL_CATALOG = [n for n in catalog_names() if catalog_group(n).order <= 32]
 
 
 class TestIsDirect:
@@ -517,3 +532,103 @@ class TestDeriveSystem:
                 rebuilt = construct_from_system(g, cp, sys_, choices)
                 assert rebuilt.x.mask == f.x.mask
                 assert rebuilt.y.mask == f.y.mask
+
+
+def _fresh_copy(g):
+    """The same group as a new table, with every cache empty."""
+    return GroupTable(g.mult, g.inv, g.identity, g.labels, name=g.name)
+
+
+def _plain(value):
+    if isinstance(value, Subset):
+        return value.mask
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def _report_fields(report):
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(report)}
+
+
+def _candidate_pairs(g, rng, count):
+    """Normal pairs for the verifier: half arbitrary class unions, half a
+    normal subgroup H with classes meeting each coset of H at most once."""
+    part = conjugacy_classes(g)
+    classes = [c.mask for c in part.classes]
+    subgroups = normal_subgroups(g)
+    pairs = []
+    while len(pairs) < count:
+        if len(pairs) % 2:
+            x, y = (sum(c for c in classes if rng.random() < 0.4) for _ in range(2))
+            if x and y:
+                pairs.append((x, y))
+            continue
+        h = rng.choice(subgroups).mask
+        coset = {}
+        for r in bits(g.full_mask):
+            for e in bits(h):
+                coset.setdefault(g.mult[r][e], r)
+        y, met = 0, set()
+        for c in rng.sample(classes, len(classes)):
+            hit = {coset[e] for e in bits(c)}
+            if len(hit) == c.bit_count() and not hit & met:
+                y |= c
+                met |= hit
+        pairs.append((h, y))
+    return pairs
+
+
+class TestCentralProductMemo:
+    def test_reports_equal_those_of_an_empty_memo(self):
+        rng = random.Random(6)
+        certified = 0
+        for name in SMALL_CATALOG:
+            g = catalog_group(name)
+            pairs = _candidate_pairs(g, rng, 24)
+            shared = [
+                verify_main_theorem(g, Subset(g, x), Subset(g, y)) for x, y in pairs
+            ]
+            for (x, y), got in zip(pairs, shared):
+                fresh = _fresh_copy(g)
+                want = verify_main_theorem(fresh, Subset(fresh, x), Subset(fresh, y))
+                assert _report_fields(got) == _report_fields(want), (name, x, y)
+                certified += got.verdict
+        assert certified > 200  # the slices of certified pairs come from the memo
+
+    def test_derive_and_verify_share_one_decomposition(self, monkeypatch):
+        base = catalog_group("Q8oC4")
+        x, y = next(
+            (x, y)
+            for x, y in _candidate_pairs(base, random.Random(1), 40)
+            if (r := verify_main_theorem(base, Subset(base, x), Subset(base, y))).verdict
+            and len(r.z) > 1
+        )
+        g = _fresh_copy(base)  # nothing derived from it yet
+        f = SetDirectFactorization(g, Subset(g, x), Subset(g, y), True)
+        cp, system, choices = derive_system(g, f)
+        assert len(cp.z) > 1
+
+        recomputed = []
+        for module in (central, factor):
+            for name in ("_z_orbits", "subgroup_view", "commutator_set"):
+                real = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, _f=real, _n=name: recomputed.append(_n) or _f(*a)
+                )
+        report = verify_main_theorem(g, f.x, f.y)
+        assert central._central_product(g, report.m, report.n).decomposition is cp
+        rebuilt = construct_from_system(g, cp, system, choices)
+        assert (rebuilt.x.mask, rebuilt.y.mask) == (f.x.mask, f.y.mask)
+        again, _, _ = derive_system(g, f)
+        assert again is cp and recomputed == []
+
+    def test_memo_holds_at_most_the_pairs_of_normal_subgroups(self):
+        g = _fresh_copy(catalog_group("Q8oQ8"))
+        subs = normal_subgroups(g)
+        assert len(subs) == 68
+        decompositions = enumerate_central_decompositions(g)
+        memo = g._central_products
+        assert len(memo) <= len(subs) ** 2
+        shared = {id(check.decomposition) for check in memo.values() if check}
+        assert all(id(d) in shared for d in decompositions)
