@@ -37,6 +37,7 @@ from .oracle import enumerate_setdirect, property_suite
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
+EXIT_BROKEN_PIPE = 141  # as a shell reports a process ended by SIGPIPE
 
 
 def _max_order(args) -> int:
@@ -407,6 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): send what is left to devnull so
+        # the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "suite" and not args.all_catalog and not args.group:
         print("suite: give a group or --all-catalog", file=sys.stderr)

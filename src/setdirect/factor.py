@@ -48,7 +48,6 @@ from .groups import (
     _is_subgroup_mask,
     _ltrans,
     _product_mask,
-    _rtrans,
     bits,
     center,
     commutator_set,
@@ -56,7 +55,6 @@ from .groups import (
     generated_subgroup,
     is_normal_subset,
     mask_of,
-    set_product,
     subgroup_view,
 )
 
@@ -91,7 +89,8 @@ class SetDirectFactorization:
 
 @dataclass(frozen=True)
 class DirectnessReport:
-    """The four equivalent directness criteria, evaluated independently."""
+    """The four equivalent directness criteria, each evaluated by its own
+    method, which stops as soon as its answer is known."""
 
     multiplicity_ok: bool        # every product has exactly one representation
     difference_ok: bool          # XX^-1 and YY^-1 meet only at the identity
@@ -110,41 +109,101 @@ def _check_normal_pair(G: GroupTable, X: Subset, Y: Subset) -> None:
 
 
 def is_direct(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
-    """Evaluate all four directness criteria and assert they agree."""
+    """Evaluate all four directness criteria and assert they agree.
+
+    Each criterion stops at its answer:
+    - multiplicity takes the products x*y one at a time, up to the first
+      element hit twice;
+    - difference builds the smaller of XX^-1 and YY^-1 and scans the other
+      up to the first non-identity element they share;
+    - partition lays down the translates {Xy} up to the first overlap, and
+      tries {xY} only when {Xy} fails;
+    - cardinality is False by pigeonhole when |X||Y| > |G|, and otherwise
+      counts |XY| from its own product.
+    """
     _check_normal_pair(G, X, Y)
-    return _directness(G, X, Y)
+    return _directness(G, X, Y)[0]
 
 
-def _directness(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
-    """is_direct for a nonempty normal pair already checked by the caller."""
-    _, counts = set_product(G, X, Y)
-    multiplicity_ok = all(c == 1 for c in counts.values())
+def _unique_products(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
+    mult = G.mult
+    hit = 0
+    for x in xmem:
+        row = mult[x]
+        for y in ymem:
+            b = 1 << row[y]
+            if hit & b:
+                return False
+            hit |= b
+    return True
 
-    xxinv = _product_mask(G, X.mask, X.inverse_set().mask)
-    yyinv = _product_mask(G, Y.mask, Y.inverse_set().mask)
-    difference_ok = xxinv & yyinv == 1 << G.identity
 
-    def disjoint_translates(base_mask, others, right):
-        total, union = 0, 0
-        for t in others:
-            tm = _rtrans(G, base_mask, t) if right else _ltrans(G, t, base_mask)
-            total += tm.bit_count()
-            union |= tm
-        return total == union.bit_count()
+def _differences_meet_trivially(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
+    inv = G.inv
+    small, large = sorted((xmem, ymem), key=len)
+    built = 0
+    for t in _left_translates(G, small, tuple(inv[b] for b in small)):
+        built |= t
+    built &= ~(1 << G.identity)
+    scan = _left_translates(G, large, tuple(inv[b] for b in large))
+    return not any(t & built for t in scan)
 
-    left_ok = disjoint_translates(X.mask, Y.members(), right=True)    # {Xy}
-    right_ok = disjoint_translates(Y.mask, X.members(), right=False)  # {xY}
-    partition_ok = left_ok or right_ok
 
-    cardinality_ok = len(counts) == len(X) * len(Y)
+def _disjoint(translates) -> bool:
+    union = 0
+    for t in translates:
+        if union & t:
+            return False
+        union |= t
+    return True
+
+
+def _right_translates(G: GroupTable, xmem: tuple, ymem: tuple):
+    """The masks Xy, y in ymem, one at a time."""
+    mult = G.mult
+    for y in ymem:
+        t = 0
+        for x in xmem:
+            t |= 1 << mult[x][y]
+        yield t
+
+
+def _left_translates(G: GroupTable, xmem: tuple, ymem: tuple):
+    """The masks xY, x in xmem, one at a time."""
+    mult = G.mult
+    for x in xmem:
+        row = mult[x]
+        t = 0
+        for y in ymem:
+            t |= 1 << row[y]
+        yield t
+
+
+def _directness(
+    G: GroupTable, X: Subset, Y: Subset
+) -> tuple[DirectnessReport, Optional[int]]:
+    """is_direct for a nonempty normal pair already checked by the caller,
+    and the mask of XY when the cardinality criterion built it (None when
+    pigeonhole decided).  No criterion reads another's work."""
+    xmem, ymem = X.members(), Y.members()
+    multiplicity_ok = _unique_products(G, xmem, ymem)
+    difference_ok = _differences_meet_trivially(G, xmem, ymem)
+    partition_ok = (
+        _disjoint(_right_translates(G, xmem, ymem))  # {Xy}
+        or _disjoint(_left_translates(G, xmem, ymem))  # {xY}
+    )
+    size = len(xmem) * len(ymem)
+    xy = None if size > G.order else _product_mask(G, X.mask, Y.mask)
+    cardinality_ok = xy is not None and xy.bit_count() == size
 
     internal_check(
         multiplicity_ok == difference_ok == partition_ok == cardinality_ok,
         "directness criteria disagree",
     )
-    return DirectnessReport(
+    report = DirectnessReport(
         multiplicity_ok, difference_ok, partition_ok, cardinality_ok, multiplicity_ok
     )
+    return report, xy
 
 
 # -- the structural verifier -------------------------------------------------
@@ -203,7 +262,9 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     Z = M intersect N.  Condition (b): Z = X_m x Y_n for every m in M and
     n in N, with slices deduplicated per (conjugacy class, Z-coset); an empty
     slice is an explicit condition-(b) failure with a witness.  The verdict
-    (a and b) is asserted to coincide with direct-and-product-covers-G.
+    (a and b) is asserted to coincide with direct-and-product-covers-G;
+    XY = G is read from the product the cardinality criterion built, and
+    built here only when that criterion decided by pigeonhole.
     """
     _check_normal_pair(G, X, Y)
     M = generated_subgroup(G, X)
@@ -241,11 +302,13 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
         if not condition_b:
             break
 
-    product_is_group = _product_mask(G, X.mask, Y.mask) == G.full_mask
+    direct, xy = _directness(G, X, Y)
+    if xy is None:  # |X||Y| > |G|
+        xy = _product_mask(G, X.mask, Y.mask)
+    product_is_group = xy == G.full_mask
     verdict = condition_a and condition_b
-    direct = _directness(G, X, Y).verdict
     internal_check(
-        verdict == (direct and product_is_group),
+        verdict == (direct.verdict and product_is_group),
         "verifier verdict disagrees with the definitional check",
     )
     return MainTheoremReport(

@@ -111,7 +111,9 @@ class GroupTable:
         """A generating set of at most log2(order) elements, found greedily
         on first use: the set Light's test checks on a table."""
         if self._generators is None:
-            self._generators = tuple(_greedy_generators(self.mult, self.identity))
+            self._generators = tuple(
+                _greedy_generators(self.mult, range(self.order), [self.identity])
+            )
         return self._generators
 
     @property
@@ -287,23 +289,16 @@ def _product_mask(G: GroupTable, amask: int, bmask: int) -> int:
 
 
 def _closure_mask(G: GroupTable, mask: int) -> int:
-    """Subgroup generated by the elements of mask (finite closure)."""
-    gens = tuple(bits(mask))
-    mult = G.mult
-    closed = 1 << G.identity
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = mult[x]
-            for g in gens:
-                y = row[g]
-                b = 1 << y
-                if not closed & b:
-                    closed |= b
-                    nxt.append(y)
-        frontier = nxt
-    return closed
+    """Subgroup generated by the elements of mask.
+
+    The members are walked in order and one already in the closure is
+    skipped.  A new one g costs one x*g per element already reached, and
+    only the elements that adds are then multiplied by every member taken
+    so far: about |<X>| log|<X>| lookups, not |<X>| |X|."""
+    reached = [G.identity]
+    for _ in _greedy_generators(G.mult, bits(mask), reached):
+        pass
+    return mask_of(reached)
 
 
 def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
@@ -322,30 +317,42 @@ def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def _greedy_generators(rows, identity: int) -> Iterator[int]:
-    """Yield a generating set greedily: each element outside the right
-    closure of the earlier ones joins them.  Each one at least doubles that
-    closure in a group, so there are at most log2 n.  A caller may test each
-    element before the next one is sought."""
-    seen = {identity}
-    reached = [identity]
+def _greedy_generators(rows, candidates: Iterable[int], reached: list) -> Iterator[int]:
+    """Yield each candidate outside the right closure of the ones yielded
+    before it, and grow that closure in `reached`, which lists its elements
+    and starts as [identity].
+
+    A new generator g costs one x*g per element already reached, as those
+    are closed under the earlier generators.  Only the elements that adds
+    are multiplied by every generator so far, and so on until none is new.
+    In a group each generator at least doubles the closure, so at most
+    log2 n are yielded.  A caller may test each one before the next is
+    sought."""
+    seen = bytearray(len(rows))
+    for x in reached:
+        seen[x] = 1
     gens = []
-    for g in range(len(rows)):
-        if g in seen:
+    for g in candidates:
+        if seen[g]:
             continue
         yield g
         gens.append(g)
-        frontier = list(reached)
+        frontier = []
+        for x in reached:
+            y = rows[x][g]
+            if not seen[y]:
+                seen[y] = 1
+                frontier.append(y)
         while frontier:
+            reached += frontier
             new = []
-            for y in frontier:
-                row = rows[y]
+            for x in frontier:
+                row = rows[x]
                 for h in gens:
-                    z = row[h]
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
-            reached += new
+                    y = row[h]
+                    if not seen[y]:
+                        seen[y] = 1
+                        new.append(y)
             frontier = new
 
 
@@ -355,7 +362,7 @@ def _check_associative(a, rows: list, identity: int) -> None:
     set proves associativity at any order."""
     import numpy as np
 
-    for g in _greedy_generators(rows, identity):
+    for g in _greedy_generators(rows, range(len(rows)), [identity]):
         col = a[:, g]
         bad = col[a] != a[:, col]  # (xy)g != x(yg)
         if bad.any():

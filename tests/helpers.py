@@ -8,6 +8,7 @@ search or verifier internals.
 import random
 from itertools import combinations
 
+from setdirect.factor import DirectnessReport
 from setdirect.groups import (
     GroupTable,
     Subset,
@@ -30,6 +31,50 @@ def naive_product_counts(G: GroupTable, xs, ys):
 def naive_is_direct(G: GroupTable, xs, ys) -> bool:
     counts = naive_product_counts(G, xs, ys)
     return all(c == 1 for c in counts.values())
+
+
+def reference_directness(G: GroupTable, xs, ys) -> DirectnessReport:
+    """The four directness criteria, each computed in full with no early
+    exit: product counts, both difference sets, both translate families and
+    |XY|.  The fields are returned as found, unchecked for agreement."""
+    mult, inv = G.mult, G.inv
+    counts = naive_product_counts(G, xs, ys)
+    multiplicity_ok = all(c == 1 for c in counts.values())
+
+    xxinv = {mult[a][inv[b]] for a in xs for b in xs}
+    yyinv = {mult[a][inv[b]] for a in ys for b in ys}
+    difference_ok = xxinv & yyinv == {G.identity}
+
+    def disjoint(translates):
+        union = set().union(*translates)
+        return sum(map(len, translates)) == len(union)
+
+    right = [{mult[x][y] for x in xs} for y in ys]   # {Xy}
+    left = [{mult[x][y] for y in ys} for x in xs]    # {xY}
+    partition_ok = disjoint(right) or disjoint(left)
+
+    cardinality_ok = len(counts) == len(xs) * len(ys)
+    return DirectnessReport(
+        multiplicity_ok, difference_ok, partition_ok, cardinality_ok, multiplicity_ok
+    )
+
+
+def breadth_first_closure(G: GroupTable, mask: int) -> int:
+    """<mask>, breadth first from the identity: every element reached is
+    multiplied on the right by every member of mask."""
+    gens = [g for g in range(G.order) if (mask >> g) & 1]
+    closed = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.mult[x][g]
+                if y not in closed:
+                    closed.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return mask_of(closed)
 
 
 def naive_closure(G: GroupTable, xs):

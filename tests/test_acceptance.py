@@ -371,14 +371,16 @@ def test_a09_transversal_iff_semiregular_iff_counts():
 
 
 def _shift_orbit_reps(G, factorizations):
-    zc = list(bits(center(G).mask))
+    zmask = center(G).mask
     reps = {}
     cache = {}
 
     def min_translate(mask):
+        # the least of the central translates x^-1 mask, x in mask: those
+        # that contain 1, the same set from every member of the shift orbit
         got = cache.get(mask)
         if got is None:
-            got = min(_ltrans(G, z, mask) for z in zc)
+            got = min(_ltrans(G, G.inv[x], mask) for x in bits(mask & zmask))
             cache[mask] = got
         return got
 

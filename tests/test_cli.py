@@ -112,6 +112,30 @@ def test_cli_start_up_leaves_numpy_unimported():
     assert done.stdout.splitlines()[-1] == "False False"
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_without_traceback(buffered):
+    # `setdirect info C4 --json | head -1` with the reader already gone:
+    # every write to the pipe fails, buffered or not
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "setdirect.cli", "info", "C4", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 141
+
+
 class TestVerify:
     def test_trivial_on_d10(self, capsys):
         code, out, _ = run(capsys, "verify", "D10", "full", "identity")

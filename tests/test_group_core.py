@@ -43,6 +43,7 @@ from setdirect.groups import (
 )
 
 from helpers import (
+    breadth_first_closure,
     naive_center,
     naive_classes,
     naive_closure,
@@ -410,6 +411,17 @@ class TestGeneratedSubgroup:
         for seed in [(1,), (1, 5), (3, 7, 11)]:
             got = generated_subgroup(g, g.subset(seed))
             assert set(got.members()) == naive_closure(g, seed)
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_group(n).order <= 64] + ["S5"]
+    )
+    def test_closure_matches_breadth_first_reference(self, name):
+        g = catalog_group(name)
+        rng = random.Random(f"closure {name}")
+        masks = [mask_of(rng.sample(range(g.order), min(k, g.order))) for k in (1, 2, 2, 3, 4)]
+        masks += [rng.getrandbits(g.order) | 1 << rng.randrange(g.order) for _ in range(3)]
+        for mask in masks:
+            assert _closure_mask(g, mask) == breadth_first_closure(g, mask), mask
 
 
 class TestCommutatorSet:

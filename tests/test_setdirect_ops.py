@@ -64,10 +64,12 @@ from setdirect.groups import (
     commutator_set,
     conjugacy_classes,
     generated_subgroup,
+    mask_of,
     subgroup_view,
 )
+from setdirect.oracle import enumerate_setdirect
 
-from helpers import naive_is_direct
+from helpers import naive_is_direct, reference_directness
 
 SMALL_CATALOG = [n for n in catalog_names() if catalog_group(n).order <= 32]
 
@@ -151,6 +153,49 @@ class TestVerifyMainTheorem:
         rep = verify_main_theorem(g, g.subset([2, 6]), g.subset([0, 4]))
         assert not rep.verdict
         assert any(not s.mask for s in rep.x_slices.values()) or rep.b_witness
+
+
+def _directness_pairs(G, rng):
+    """Oracle-listed positive pairs in both orders, random class unions
+    (mostly negative), and pairs with |X||Y| > |G|."""
+    listed = enumerate_setdirect(G, normalized_only=True).factorizations
+    pairs = []
+    for f in rng.sample(listed, min(15, len(listed))):
+        pairs += [(f.x, f.y), (f.y, f.x)]
+    part = conjugacy_classes(G)
+    k = len(part)
+
+    def union(size):
+        return Subset(G, mask_of(x for c in rng.sample(range(k), size) for x in part.classes[c]))
+
+    for _ in range(30):
+        pairs.append((union(rng.randint(1, k)), union(rng.randint(1, k))))
+    for _ in range(10):  # few classes each: |X||Y| <= |G| more often
+        pairs.append((union(rng.randint(1, min(2, k))), union(rng.randint(1, min(3, k)))))
+    if G.order > 1:
+        pairs.append((G.full_subset(), union(rng.randint(1, k))))
+    return pairs
+
+
+class TestDirectnessAgainstReference:
+    """The criteria stop at their answers; the reports must equal those of
+    the criteria computed in full, on every kind of pair."""
+
+    @pytest.mark.parametrize("name", SMALL_CATALOG)
+    def test_reports_and_cover_match_reference(self, name):
+        G = catalog_group(name)
+        rng = random.Random(f"directness {name}")
+        seen = set()
+        for X, Y in _directness_pairs(G, rng):
+            xs, ys = X.members(), Y.members()
+            rep = is_direct(G, X, Y)
+            assert rep == reference_directness(G, xs, ys), (xs, ys)
+            covers = {G.mult[x][y] for x in xs for y in ys} == set(range(G.order))
+            assert verify_main_theorem(G, X, Y).product_is_group == covers, (xs, ys)
+            seen.add((rep.verdict, len(xs) * len(ys) > G.order))
+        assert (True, False) in seen
+        if G.order > 1:
+            assert (False, True) in seen
 
 
 class TestKernel:
@@ -522,8 +567,6 @@ class TestInduced:
 
 class TestDeriveSystem:
     def test_roundtrip_on_oracle_pairs(self):
-        from setdirect.oracle import enumerate_setdirect
-
         for name in ["C8", "C12", "C2xC2xC2", "Q8oC4"]:
             g = catalog_group(name)
             res = enumerate_setdirect(g, normalized_only=True)
