@@ -19,7 +19,6 @@ from .errors import (
 from .groups import (
     GroupTable,
     Subset,
-    SubgroupView,
     _closure_mask,
     _is_subgroup_mask,
     _product_mask,
@@ -30,7 +29,6 @@ from .groups import (
     conjugacy_classes,
     is_normal_subset,
     mask_of,
-    subgroup_view,
 )
 
 DEFAULT_ENUMERATION_BOUND = 512
@@ -43,8 +41,8 @@ class CentralDecomposition:
 
     Only _central_product issues one, once per (M, N) of a group, so every
     caller holding that pair shares it.  The Z-orbits on the classes inside
-    M and N and the view of Z as its own table are computed on first use and
-    kept for the life of the decomposition.
+    M and N are computed on first use and kept for the life of the
+    decomposition.
     """
 
     m: Subset
@@ -58,10 +56,6 @@ class CentralDecomposition:
     @cached_property
     def n_orbits(self) -> ZActionData:
         return _z_orbits(self.z.group, self.n.mask, self.z.mask)
-
-    @cached_property
-    def z_view(self) -> SubgroupView:
-        return subgroup_view(self.z.group, self.z)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ factorization), 2 usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,6 +55,25 @@ def _max_order(args) -> int:
 
 def _load(args) -> GroupTable:
     return load_group(args.group, max_order=_max_order(args))
+
+
+def _needed(args, dest: str, option: str):
+    """The value of an option the chosen method cannot do without."""
+    value = getattr(args, dest)
+    if value is None:
+        raise GroupError(f"--method {args.method} needs {option}")
+    return value
+
+
+def _parse_choices(spec: str) -> tuple:
+    """'i1;i2|j1;j2': one class index per orbit inside M, then inside N."""
+    sides = spec.split("|")
+    if len(sides) != 2:
+        raise GroupError(f"--choices must look like 'i1;i2|j1;j2', got {spec!r}")
+    try:
+        return tuple(tuple(int(t) for t in side.split(";")) for side in sides)
+    except ValueError:
+        raise GroupError(f"--choices takes integer class indices, got {spec!r}") from None
 
 
 def parse_subset(G: GroupTable, spec: str) -> Subset:
@@ -161,18 +181,7 @@ def cmd_verify(args) -> int:
     Y = parse_subset(G, args.y)
     if args.direct:
         rep = is_direct(G, X, Y)
-        print(
-            json.dumps(
-                {
-                    "multiplicity_ok": rep.multiplicity_ok,
-                    "difference_ok": rep.difference_ok,
-                    "partition_ok": rep.partition_ok,
-                    "cardinality_ok": rep.cardinality_ok,
-                    "verdict": rep.verdict,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(rep), indent=2))
         return EXIT_OK if rep.verdict else EXIT_NEGATIVE
     report = verify_main_theorem(G, X, Y)
     print(json.dumps(report_json(report), indent=2))
@@ -251,8 +260,8 @@ def cmd_factorize(args) -> int:
         return EXIT_NEGATIVE
 
     if method == "cyclic":
-        X0 = parse_subset(G, args.x0)
-        Y0 = parse_subset(G, args.y0)
+        X0 = parse_subset(G, _needed(args, "x0", "--x0"))
+        Y0 = parse_subset(G, _needed(args, "y0", "--y0"))
         result = cyclic_center_factorization(G, cp, X0, Y0)
         if result:
             _emit_factorizations(G, [result.factorization], args.emit)
@@ -270,21 +279,15 @@ def cmd_factorize(args) -> int:
         return EXIT_NEGATIVE
 
     if method == "prime-power":
-        f = prime_power_factorization(G, args.element)
+        f = prime_power_factorization(G, _needed(args, "element", "--element"))
         _emit_factorizations(G, [f], args.emit)
         return EXIT_OK
 
     if method == "system":
-        a_sets = [parse_subset(G, t) for t in args.a.split(";")]
-        b_sets = [parse_subset(G, t) for t in args.b.split(";")]
+        a_sets = [parse_subset(G, t) for t in _needed(args, "a", "--A").split(";")]
+        b_sets = [parse_subset(G, t) for t in _needed(args, "b", "--B").split(";")]
         sys_ = system_for_decomposition(G, cp, a_sets, b_sets)
-        choices = None
-        if args.choices:
-            xs, ys = args.choices.split("|")
-            choices = (
-                tuple(int(t) for t in xs.split(";")),
-                tuple(int(t) for t in ys.split(";")),
-            )
+        choices = _parse_choices(args.choices) if args.choices else None
         f = construct_from_system(G, cp, sys_, choices)
         _emit_factorizations(G, [f], args.emit)
         return EXIT_OK
@@ -346,17 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"setdirect {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def max_order(sp):
         sp.add_argument("--max-order", type=int, default=None,
                         help="order bound for group construction "
                         "(env SETDIRECT_MAX_ORDER overrides the default)")
-        sp.add_argument("--json", action="store_true", help="JSON output")
-        sp.add_argument("--time-budget-secs", type=float, default=60.0)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("info", help="order, classes, center, semi-regular elements")
     sp.add_argument("group", help="catalog name or JSON group file")
-    common(sp)
+    max_order(sp)
+    sp.add_argument("--json", action="store_true", help="JSON output")
     sp.set_defaults(func=cmd_info)
 
     sp = sub.add_parser("verify", help="certify G = X x Y and print the report")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("y")
     sp.add_argument("--direct", action="store_true",
                     help="check directness of XY only (XY need not cover G)")
-    common(sp)
+    max_order(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("factorize", help="enumerate or construct factorizations")
@@ -391,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="system method: semicolon-separated B_j subset specs")
     sp.add_argument("--choices", default=None,
                     help="system method: 'i1;i2|j1;j2' class indices per orbit")
-    common(sp)
+    max_order(sp)
+    sp.add_argument("--time-budget-secs", type=float, default=60.0)
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("suite", help="run the cross-check property suite")
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--time-budget-secs", type=float, default=60.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_suite, max_order=None, json=False)
+    sp.set_defaults(func=cmd_suite)
 
     return p
 

@@ -37,6 +37,7 @@ from .errors import (
     NotCyclic,
     NotNormal,
     NotSemiRegular,
+    NotSubgroup,
     OrderNotPrimePowerAtLeastSquare,
     SystemMismatch,
     internal_check,
@@ -283,19 +284,11 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     x_slices = _slices(G, M, X.mask, Z, m_action)
     y_slices = _slices(G, N, Y.mask, Z, n_action)
 
-    zmask = Z.mask
-    zsize = len(Z)
     condition_b = True
     b_witness = None
     for m, xs in x_slices.items():
         for n, ys in y_slices.items():
-            ok = (
-                xs.mask
-                and ys.mask
-                and len(xs) * len(ys) == zsize
-                and _product_mask(G, xs.mask, ys.mask) == zmask
-            )
-            if not ok:
+            if not _factors_directly(G, xs.mask, ys.mask, Z.mask):
                 condition_b = False
                 b_witness = (m, n)
                 break
@@ -351,21 +344,30 @@ def _kernel_within(G: GroupTable, zmask: int, smask: int) -> int:
     return mask_of(h for h in bits(zmask) if _ltrans(G, h, smask) == smask)
 
 
+def _factors_directly(G: GroupTable, amask: int, bmask: int, zmask: int) -> bool:
+    """Z = A x B: both nonempty, |A||B| = |Z| and AB = Z."""
+    return bool(
+        amask
+        and bmask
+        and amask.bit_count() * bmask.bit_count() == zmask.bit_count()
+        and _product_mask(G, amask, bmask) == zmask
+    )
+
+
 @dataclass(frozen=True)
 class FactorizationSystem:
     """Families (M_i), (N_j) of subgroups and (A_i), (B_j) of subsets of an
     abelian group Z with Z = A_i x B_j, M_i <= K(A_i), N_j <= K(B_j).
 
-    All subsets live in `ztable`; `embedding` ties the system to a central
-    subgroup of an ambient group when it was derived from one.
+    `z` is Z as a subgroup of the group all the sets live in: the whole of
+    an abelian group, or a central subgroup of G such as a decomposition's Z.
     """
 
-    ztable: GroupTable
+    z: Subset
     m_subgroups: tuple
     n_subgroups: tuple
     a_sets: tuple
     b_sets: tuple
-    embedding: Optional[SubgroupView] = None
 
 
 @dataclass(frozen=True)
@@ -390,35 +392,39 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
     A system whose definitions pass but whose arithmetic corollaries fail is
     an internal inconsistency and raises.
     """
-    Z = sys.ztable
-    if not Z.is_abelian:
-        raise NotAbelian("factorization systems live over abelian groups")
+    G, zmask = sys.z.group, sys.z.mask
+    if not _is_subgroup_mask(G, zmask):
+        raise NotSubgroup("Z must be a subgroup")
+    if zmask & ~center(G).mask:
+        raise NotAbelian("Z must be a whole abelian group or a central subgroup")
     if len(sys.m_subgroups) != len(sys.a_sets) or len(sys.n_subgroups) != len(sys.b_sets):
         raise IndexMismatch("index families have different lengths")
-    for s in (*sys.m_subgroups, *sys.n_subgroups, *sys.a_sets, *sys.b_sets):
-        if s.group is not Z:
-            raise ValueError("system subsets must live in the system's group")
+    for name, family in zip(
+        ("M_i", "N_j", "A_i", "B_j"),
+        (sys.m_subgroups, sys.n_subgroups, sys.a_sets, sys.b_sets),
+    ):
+        for s in family:
+            if s.group is not G:
+                raise ValueError(f"{name} does not live in Z's group")
+            if s.mask & ~zmask:
+                raise ContainmentViolated(f"{name} does not lie inside Z")
 
-    nz = Z.order
-    product_failures = []
-    for i, a in enumerate(sys.a_sets):
-        for j, b in enumerate(sys.b_sets):
-            if not (
-                a.mask
-                and b.mask
-                and len(a) * len(b) == nz
-                and _product_mask(Z, a.mask, b.mask) == Z.full_mask
-            ):
-                product_failures.append((i, j))
+    nz = len(sys.z)
+    product_failures = [
+        (i, j)
+        for i, a in enumerate(sys.a_sets)
+        for j, b in enumerate(sys.b_sets)
+        if not _factors_directly(G, a.mask, b.mask, zmask)
+    ]
     kernel_failures_a = tuple(
         i
         for i, (mi, a) in enumerate(zip(sys.m_subgroups, sys.a_sets))
-        if not a.mask or mi.mask & ~kernel(Z, a).mask
+        if not a.mask or mi.mask & ~_kernel_within(G, zmask, a.mask)
     )
     kernel_failures_b = tuple(
         j
         for j, (nj, b) in enumerate(zip(sys.n_subgroups, sys.b_sets))
-        if not b.mask or nj.mask & ~kernel(Z, b).mask
+        if not b.mask or nj.mask & ~_kernel_within(G, zmask, b.mask)
     )
     valid = not product_failures and not kernel_failures_a and not kernel_failures_b
 
@@ -440,7 +446,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         mem = tuple(bits(elems_set.mask))
         cosets = set()
         for a in mem:
-            cm = _ltrans(Z, a, subgroup.mask)
+            cm = _ltrans(G, a, subgroup.mask)
             if cm in cosets:
                 return False
             cosets.add(cm)
@@ -450,7 +456,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         separated(a, nj) for a in sys.a_sets for nj in sys.n_subgroups
     ) and all(separated(b, mi) for b in sys.b_sets for mi in sys.m_subgroups)
 
-    one = 1 << Z.identity
+    one = 1 << G.identity
     intersections_trivial = all(
         (mi.mask & nj.mask) == one
         for mi in sys.m_subgroups
@@ -481,26 +487,20 @@ def system_for_decomposition(
     a_sets: Sequence[Subset],
     b_sets: Sequence[Subset],
 ) -> FactorizationSystem:
-    """Build a system indexed by the Z-orbits of cp, with the orbit
-    stabilizers as the prescribed subgroups.  The A_i/B_j may be given either
-    in the ambient group (contained in Z) or already in the view table."""
-    view = cp.z_view
+    """Build a system over cp's Z indexed by the Z-orbits of cp, with the
+    orbit stabilizers as the prescribed subgroups.  The A_i/B_j are subsets
+    of Z in G."""
     om, on = cp.m_orbits, cp.n_orbits
     if len(a_sets) != len(om.orbits) or len(b_sets) != len(on.orbits):
         raise SystemMismatch(
             f"need {len(om.orbits)} A-sets and {len(on.orbits)} B-sets"
         )
-
-    def into_view(s: Subset) -> Subset:
-        return s if s.group is view.table else view.pull(s)
-
     return FactorizationSystem(
-        view.table,
-        tuple(view.pull(o.stabilizer) for o in om.orbits),
-        tuple(view.pull(o.stabilizer) for o in on.orbits),
-        tuple(into_view(a) for a in a_sets),
-        tuple(into_view(b) for b in b_sets),
-        embedding=view,
+        cp.z,
+        tuple(o.stabilizer for o in om.orbits),
+        tuple(o.stabilizer for o in on.orbits),
+        tuple(a_sets),
+        tuple(b_sets),
     )
 
 
@@ -521,16 +521,15 @@ def construct_from_system(
     per orbit (defaults to the minimal class index).
     """
     om, on = cp.m_orbits, cp.n_orbits
-    view = sys.embedding
-    if view is None or view.parent is not G or view.carrier.mask != cp.z.mask:
-        raise SystemMismatch("system is not embedded over this decomposition's Z")
+    if sys.z.group is not G or sys.z.mask != cp.z.mask:
+        raise SystemMismatch("system is not over this decomposition's Z")
     if len(sys.a_sets) != len(om.orbits) or len(sys.b_sets) != len(on.orbits):
         raise SystemMismatch("system index sets do not match the orbit counts")
     for got, orbit in zip(sys.m_subgroups, om.orbits):
-        if view.push(got).mask != orbit.stabilizer.mask:
+        if got.mask != orbit.stabilizer.mask:
             raise SystemMismatch("M_i differs from its orbit stabilizer")
     for got, orbit in zip(sys.n_subgroups, on.orbits):
-        if view.push(got).mask != orbit.stabilizer.mask:
+        if got.mask != orbit.stabilizer.mask:
             raise SystemMismatch("N_j differs from its orbit stabilizer")
     report = check_factorization_system(sys)
     if not report.valid:
@@ -551,7 +550,7 @@ def construct_from_system(
         for orbit, s, c in zip(action.orbits, sets, picked):
             if c not in orbit.classes:
                 raise InvalidChoice(f"class {c} is not in orbit {orbit.classes}")
-            total |= _product_mask(G, view.push(s).mask, part.class_mask(c))
+            total |= _product_mask(G, s.mask, part.class_mask(c))
         return Subset(G, total)
 
     X = assemble(om, sys.a_sets, x_choices)
@@ -574,18 +573,12 @@ def derive_system(G: GroupTable, f: SetDirectFactorization):
     check = is_central_product(G, M, N)
     internal_check(bool(check), "certified factorization without central product")
     cp = check.decomposition
-    part = conjugacy_classes(G)
     om, on = cp.m_orbits, cp.n_orbits
-
-    def side_sets(action, smask):
-        out = []
-        for orbit in action.orbits:
-            m = part.classes[orbit.classes[0]].members()[0]
-            out.append(Subset(G, _ltrans(G, G.inv[m], smask) & cp.z.mask))
-        return tuple(out)
-
     sys = system_for_decomposition(
-        G, cp, side_sets(om, f.x.mask), side_sets(on, f.y.mask)
+        G,
+        cp,
+        tuple(_slices(G, cp.m, f.x.mask, cp.z, om).values()),
+        tuple(_slices(G, cp.n, f.y.mask, cp.z, on).values()),
     )
     choices = (_default_choices(om), _default_choices(on))
     return cp, sys, choices
@@ -671,12 +664,7 @@ def cyclic_center_factorization(
     for s in (X0, Y0):
         if s.mask & ~Z.mask:
             raise NotADirectFactorizationOfZ("factors must be subsets of Z")
-    if not (
-        X0.mask
-        and Y0.mask
-        and len(X0) * len(Y0) == len(Z)
-        and _product_mask(G, X0.mask, Y0.mask) == Z.mask
-    ):
+    if not _factors_directly(G, X0.mask, Y0.mask, Z.mask):
         raise NotADirectFactorizationOfZ("Z is not the direct product X0 x Y0")
 
     comm_m = commutator_set(G, cp.m, cp.m)

@@ -86,12 +86,6 @@ class GroupTable:
 
     # -- element arithmetic -------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, x: int, g: int) -> int:
         """g**-1 * x * g."""
         return self.mult[self.mult[self.inv[g]][x]][g]
@@ -212,21 +206,9 @@ class Subset:
         self._check_same_group(other)
         return Subset(self.group, self.mask & ~other.mask)
 
-    def issubset(self, other: "Subset") -> bool:
-        self._check_same_group(other)
-        return self.mask & ~other.mask == 0
-
     def translate(self, g: int) -> "Subset":
         """Left translate {g*x : x in S}."""
         return Subset(self.group, _ltrans(self.group, g, self.mask))
-
-    def rtranslate(self, g: int) -> "Subset":
-        """Right translate {x*g : x in S}."""
-        return Subset(self.group, _rtrans(self.group, self.mask, g))
-
-    def inverse_set(self) -> "Subset":
-        inv = self.group.inv
-        return Subset(self.group, mask_of(inv[x] for x in bits(self.mask)))
 
     def __repr__(self):
         shown = ",".join(self.member_labels()[:12])
@@ -261,16 +243,6 @@ def _ltrans(G: GroupTable, g: int, mask: int) -> int:
     while mask:
         low = mask & -mask
         out |= 1 << row[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _rtrans(G: GroupTable, mask: int, g: int) -> int:
-    mult = G.mult
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << mult[low.bit_length() - 1][g]
         mask ^= low
     return out
 
@@ -756,27 +728,18 @@ class SubgroupView:
     to_parent: tuple
 
     @cached_property
-    def carrier(self) -> Subset:
-        return Subset(self.parent, mask_of(self.to_parent))
-
-    @cached_property
     def _index(self) -> dict:
         return {p: i for i, p in enumerate(self.to_parent)}
 
-    def index_in_view(self, parent_element: int) -> int:
-        try:
-            return self._index[parent_element]
-        except KeyError:
-            raise ValueError("element does not belong to the viewed subgroup") from None
-
     def pull(self, S: Subset) -> Subset:
-        """Map a parent subset contained in the carrier into the view."""
+        """Map a parent subset contained in the viewed subgroup into the view."""
         if S.group is not self.parent:
             raise ValueError("subset belongs to a different group")
-        if S.mask & ~self.carrier.mask:
-            raise ValueError("subset is not contained in the viewed subgroup")
         index = self._index
-        return self.table.subset(index[x] for x in bits(S.mask))
+        try:
+            return self.table.subset(index[x] for x in bits(S.mask))
+        except KeyError:
+            raise ValueError("subset is not contained in the viewed subgroup") from None
 
     def push(self, S: Subset) -> Subset:
         """Map a view subset back into the parent group."""

@@ -222,6 +222,30 @@ class TestFactorize:
         d = json.loads(out)
         assert d[0]["certified"]
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["C4", "--method", "system", "--B", "0"], "--A"),
+            (["C4", "--method", "system", "--A", "0,2"], "--B"),
+            (["C4", "--method", "system", "--M", "full", "--N", "full",
+              "--A", "0,2", "--B", "0,1", "--choices", "0;1"], "--choices"),
+            (["C4", "--method", "system", "--M", "full", "--N", "full",
+              "--A", "0,2", "--B", "0,1", "--choices", "0|x"], "--choices"),
+            (["C8", "--method", "cyclic"], "--x0"),
+            (["C8", "--method", "cyclic", "--x0", "0"], "--y0"),
+            (["C8", "--method", "prime-power"], "--element"),
+            (["C8", "--method", "system", "--N", "0,4",
+              "--A", "0,1;0,1;0,1;0,1", "--B", "0"], "ContainmentViolated: A_i"),
+        ],
+        ids=["no-A", "no-B", "choices-without-bar", "choices-not-integer",
+             "no-x0", "no-y0", "no-element", "A-outside-Z"],
+    )
+    def test_missing_or_bad_method_options_exit_2(self, capsys, argv, named):
+        code, _, err = run(capsys, "factorize", *argv)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err
+
 
 class TestSuite:
     def test_single_group(self, capsys):

@@ -529,6 +529,13 @@ class TestSubgroupView:
         s = view.table.subset([0, 3])
         assert view.pull(view.push(s)).mask == s.mask
 
+    def test_pull_rejects_a_subset_outside_the_subgroup(self):
+        g = dihedral(12)
+        view = subgroup_view(g, generated_subgroup(g, g.subset([1])))
+        outside = next(x for x in g.elements() if x not in view.to_parent)
+        with pytest.raises(ValueError, match="not contained"):
+            view.pull(g.subset([0, outside]))
+
 
 class TestCatalog:
     def test_names_resolve_and_case_insensitive(self):

@@ -2,7 +2,7 @@
 and the constructive routines."""
 
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import pytest
 
@@ -36,6 +36,7 @@ from setdirect.errors import (
     NotCertified,
     NotNormal,
     NotSemiRegular,
+    NotSubgroup,
     OrderNotPrimePowerAtLeastSquare,
     SystemMismatch,
 )
@@ -226,7 +227,7 @@ class TestFactorizationSystems:
     def test_c4_valid(self):
         z = cyclic(4)
         sys_ = FactorizationSystem(
-            z,
+            z.full_subset(),
             (z.subset([0]),),
             (z.subset([0]),),
             (z.subset([0, 2]),),
@@ -244,7 +245,9 @@ class TestFactorizationSystems:
         y2 = exponent_index(orders, (0, 1, 1))
         a = generated_subgroup(z, z.subset([g1]))
         b = z.subset([0, y1, y2])
-        sys_ = FactorizationSystem(z, (z.subset([0]),), (z.subset([0]),), (a,), (b,))
+        sys_ = FactorizationSystem(
+            z.full_subset(), (z.subset([0]),), (z.subset([0]),), (a,), (b,)
+        )
         rep = check_factorization_system(sys_)
         assert not rep.valid
         assert rep.product_failures == ((0, 0),)
@@ -262,15 +265,71 @@ class TestFactorizationSystems:
             ]
         )
         a = generated_subgroup(z, z.subset([g1]))
-        sys_ = FactorizationSystem(z, (a,), (z.subset([0]),), (a,), (y,))
+        sys_ = FactorizationSystem(z.full_subset(), (a,), (z.subset([0]),), (a,), (y,))
         rep = check_factorization_system(sys_)
         assert rep.valid
 
     def test_index_mismatch(self):
         z = cyclic(4)
-        sys_ = FactorizationSystem(z, (), (z.subset([0]),), (z.subset([0, 2]),), ())
+        sys_ = FactorizationSystem(
+            z.full_subset(), (), (z.subset([0]),), (z.subset([0, 2]),), ()
+        )
         with pytest.raises(IndexMismatch):
             check_factorization_system(sys_)
+
+    def test_rejects_a_set_outside_z(self):
+        g = cyclic(8)
+        cp = is_central_product(g, g.full_subset(), g.subset([0, 4])).decomposition
+        sys_ = system_for_decomposition(
+            g, cp, [g.subset([0, 1])] * len(cp.m_orbits.orbits), [g.identity_subset()]
+        )
+        with pytest.raises(ContainmentViolated, match="A_i"):
+            check_factorization_system(sys_)
+
+    def test_rejects_z_that_is_not_a_subgroup(self):
+        z = cyclic(4)
+        one = z.identity_subset()
+        sys_ = FactorizationSystem(z.subset([0, 1]), (one,), (one,), (one,), (one,))
+        with pytest.raises(NotSubgroup):
+            check_factorization_system(sys_)
+
+    def test_rejects_a_non_abelian_z(self):
+        g = symmetric(3)
+        one = g.identity_subset()
+        sys_ = FactorizationSystem(g.full_subset(), (one,), (one,), (g.full_subset(),), (one,))
+        with pytest.raises(NotAbelian, match="central subgroup"):
+            check_factorization_system(sys_)
+
+
+DIFFERENTIAL_GROUPS = [
+    n for n in catalog_names() if catalog_group(n).order <= 24
+] + ["Q8oC4", "D8oC4"]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GROUPS)
+def test_systems_in_g_report_as_their_copies_in_a_table_of_z(name):
+    # the reference copy of each derived system lives in Z as its own table
+    G = catalog_group(name)
+    views = {}
+    pairs = enumerate_setdirect(G, normalized_only=True).factorizations
+    assert pairs
+    for f in pairs:
+        cp, sys_, choices = derive_system(G, f)
+        if cp.z.mask not in views:
+            views[cp.z.mask] = subgroup_view(G, cp.z)
+        view = views[cp.z.mask]
+        copy = FactorizationSystem(
+            view.table.full_subset(),
+            *(
+                tuple(view.pull(s) for s in family)
+                for family in (sys_.m_subgroups, sys_.n_subgroups, sys_.a_sets, sys_.b_sets)
+            ),
+        )
+        got = check_factorization_system(sys_)
+        assert got.valid
+        assert _report_fields(got) == _report_fields(check_factorization_system(copy))
+        rebuilt = construct_from_system(G, cp, sys_, choices)
+        assert (rebuilt.x.mask, rebuilt.y.mask) == (f.x.mask, f.y.mask)
 
 
 class TestConstructFromSystem:
@@ -348,12 +407,20 @@ class TestConstructFromSystem:
         with pytest.raises(InvalidChoice):
             construct_from_system(g, cp, sys_, ((99,), (0,)))
 
-    def test_rejects_system_without_embedding(self):
+    def test_rejects_system_over_another_groups_z(self):
         g = cyclic(4)
         cp = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
-        sys_ = system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])])
-        with pytest.raises(SystemMismatch, match="not embedded"):
-            construct_from_system(g, cp, replace(sys_, embedding=None))
+        other = _fresh_copy(g)  # the same group as another table
+        sys_ = FactorizationSystem(
+            other.full_subset(),
+            (other.identity_subset(),),
+            (other.identity_subset(),),
+            (other.subset([0, 2]),),
+            (other.subset([0, 1]),),
+        )
+        assert check_factorization_system(sys_).valid
+        with pytest.raises(SystemMismatch, match="not over this decomposition"):
+            construct_from_system(g, cp, sys_)
 
     def test_rejects_system_over_another_decompositions_z(self):
         g = cyclic(4)
@@ -362,7 +429,7 @@ class TestConstructFromSystem:
         sys_ = system_for_decomposition(
             g, over_c4, [g.subset([0, 2])], [g.subset([0, 1])]
         )
-        with pytest.raises(SystemMismatch, match="not embedded"):
+        with pytest.raises(SystemMismatch, match="not over this decomposition"):
             construct_from_system(g, over_half, sys_)
 
     def test_rejects_m_subgroup_other_than_its_orbit_stabilizer(self):
@@ -371,18 +438,15 @@ class TestConstructFromSystem:
         # with the right orbit counts.
         g = quaternion(8)
         cp = is_central_product(g, g.full_subset(), center(g)).decomposition
-        view = subgroup_view(g, cp.z)
-        zt = view.table
-        trivial = zt.identity_subset()
+        trivial = g.identity_subset()
         m_count = len(z_orbits(g, cp.m, cp.z).orbits)
         n_count = len(z_orbits(g, cp.n, cp.z).orbits)
         sys_ = FactorizationSystem(
-            zt,
+            cp.z,
             (trivial,) * m_count,
             (trivial,) * n_count,
-            (zt.full_subset(),) * m_count,
+            (cp.z,) * m_count,
             (trivial,) * n_count,
-            embedding=view,
         )
         assert check_factorization_system(sys_).valid
         with pytest.raises(SystemMismatch, match="M_i differs"):
@@ -653,8 +717,11 @@ class TestCentralProductMemo:
         assert len(cp.z) > 1
 
         recomputed = []
-        for module in (central, factor):
-            for name in ("_z_orbits", "subgroup_view", "commutator_set"):
+        for module, names in (
+            (central, ("_z_orbits", "commutator_set")),
+            (factor, ("_z_orbits", "subgroup_view", "commutator_set")),
+        ):
+            for name in names:
                 real = getattr(module, name)
                 monkeypatch.setattr(
                     module, name, lambda *a, _f=real, _n=name: recomputed.append(_n) or _f(*a)
