@@ -6,8 +6,9 @@ Usage: python scripts/catalog_survey.py [--max-order N] [--json]
 
 The oracle gets 20 s per group; its wall time is the `oracle_s` column
 (and field in --json).  In the table an oracle that runs out of time shows
-`t/o` and the normalized pairs it found (`>=N`); a group over the oracle's
-candidate cap shows `cap`.
+`t/o`, the phase it ran out in (`timeout_phase` in --json: search, sort,
+expand or listing) and the normalized pairs it found (`>=N`); a group over
+the oracle's candidate cap shows `cap`.
 """
 
 import argparse
@@ -27,7 +28,7 @@ def survey(max_order: int):
         g = catalog_group(name)
         if g.order > max_order:
             continue
-        outcome, partial_normalized = "ok", None
+        outcome, partial_normalized, timeout_phase = "ok", None, None
         t0 = time.perf_counter()
         try:
             res = enumerate_setdirect(g, normalized_only=True, time_budget=20.0)
@@ -36,6 +37,7 @@ def survey(max_order: int):
         except TimeBudgetExceeded as exc:
             outcome, counts = "timeout", None
             partial_normalized = exc.partial.normalized
+            timeout_phase = exc.phase
         except SearchSpaceTooLarge:
             outcome, counts = "cap", None
         oracle_s = time.perf_counter() - t0
@@ -53,6 +55,7 @@ def survey(max_order: int):
                 "oracle": outcome,
                 "oracle_s": round(oracle_s, 3),
                 "partial_normalized": partial_normalized,
+                "timeout_phase": timeout_phase,
             }
         )
     return rows
@@ -77,7 +80,7 @@ def main():
             ntr = r["factorizations_nontrivial"]
             nrm = r["factorizations_normalized"]
         elif r["oracle"] == "timeout":
-            tot = ntr = "t/o"
+            tot, ntr = "t/o", r["timeout_phase"]
             nrm = f">={r['partial_normalized']}"
         else:
             tot = ntr = nrm = "cap"

@@ -90,11 +90,13 @@ class SearchSpaceTooLarge(GroupError):
 
 
 class TimeBudgetExceeded(SearchSpaceTooLarge):
-    """Wall-clock budget ran out mid-search; carries partial results."""
+    """Wall-clock budget ran out mid-search; carries partial results and the
+    phase it ran out in."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, phase=None):
         super().__init__(message)
         self.partial = partial
+        self.phase = phase
 
 
 class InternalCheckFailed(GroupError):

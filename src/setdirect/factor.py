@@ -408,6 +408,10 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
                 raise ValueError(f"{name} does not live in Z's group")
             if s.mask & ~zmask:
                 raise ContainmentViolated(f"{name} does not lie inside Z")
+    for name, family in (("M_i", sys.m_subgroups), ("N_j", sys.n_subgroups)):
+        for mask in {s.mask for s in family}:
+            if not _is_subgroup_mask(G, mask):
+                raise NotSubgroup(f"{name} is not a subgroup")
 
     nz = len(sys.z)
     product_failures = [
@@ -490,6 +494,8 @@ def system_for_decomposition(
     """Build a system over cp's Z indexed by the Z-orbits of cp, with the
     orbit stabilizers as the prescribed subgroups.  The A_i/B_j are subsets
     of Z in G."""
+    if cp.z.group is not G:
+        raise SystemMismatch("decomposition is not over this group")
     om, on = cp.m_orbits, cp.n_orbits
     if len(a_sets) != len(om.orbits) or len(b_sets) != len(on.orbits):
         raise SystemMismatch(

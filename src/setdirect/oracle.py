@@ -3,17 +3,22 @@
 enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
-an exact-cover search.  On an abelian group the power maps x -> x^k, k a
-unit modulo the exponent, are automorphisms (each is checked on the whole
-multiplication table), and an automorphism s maps a normalized
-factorization (X, Y) to the normalized factorization (sX, sY).  So the
-search takes one small side X per orbit of the power maps and adds the
-images of each pair it finds.  Every other factorization is a shift
-(zX, wY) of a normalized one by central elements z, w, and shifting
-preserves directness.  The totals follow from the normalized pairs in
-closed form (each normalized ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|)
-ordered factorizations); the shifts themselves are built only for a full
-listing.  Nothing here consults the structural verifier.
+an exact-cover search.  Each small side X found stands for an orbit:
+- central shifts: for z^-1 in X∩Z, zX is normalized and has the same
+  complements Y as X (zX·Y = zG = G, with unique representation);
+- power maps: on an abelian group the maps x -> x^k, k a unit modulo the
+  exponent, are automorphisms (each is checked on the whole multiplication
+  table), and an automorphism s maps a normalized factorization (X, Y) to
+  the normalized factorization (sX, sY).
+So the search takes one small side X per orbit of the shifts composed with
+the power maps, the sets s(zX), and adds the images (zX, Y) and (s(zX), sY)
+of each pair (X, Y) it finds; a non-abelian group with a nontrivial centre
+has the shifts alone.  Every other factorization is a shift (zX, wY) of a
+normalized one by central elements z, w, and shifting preserves directness.
+The totals follow from the normalized pairs in closed form (each normalized
+ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations); the
+shifts themselves are built only for a full listing.  Nothing here consults
+the structural verifier.
 """
 
 from __future__ import annotations
@@ -270,11 +275,12 @@ def _map_mask(tables, mask: int) -> int:
 
 def _normalized_pairs(
     G: GroupTable, deadline: _Deadline, candidate_cap: int, found: _Found
-) -> list:
-    """All unordered normalized factorization pairs, as (xmask, ymask).
+) -> None:
+    """Put every unordered normalized factorization pair, as (xmask, ymask),
+    into `found`.
 
-    Pairs go into `found` as the search meets them, so a caller that
-    catches _OutOfTime still holds every pair found before the deadline.
+    Pairs go in as the search meets them, so a caller that catches
+    _OutOfTime still holds every pair found before the deadline.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -294,8 +300,8 @@ def _normalized_pairs(
     class_of = part.class_of
     zc = center(G).mask
     pairs, weights = found.pairs, found.weights
-    # the identity map fixes every X; a non-abelian group gets no maps
-    map_tables = [_byte_tables(s) for s in _power_maps(G)[1:]]
+    # None stands for the identity map; a non-abelian group gets no others
+    maps = (None, *(_byte_tables(s) for s in _power_maps(G)[1:]))
 
     def add(xm, ym, nontrivial):
         key = (xm, ym) if xm <= ym else (ym, xm)
@@ -318,7 +324,7 @@ def _normalized_pairs(
 
     for d, e in _divisor_splits(n):
         nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
-        covered_x = set()  # images of earlier X under the power maps
+        covered_x = set()  # the orbits of earlier X
         for chosen in _subsets_with_total(sizes, others, d - sizes[id_class]):
             deadline.poll()
             x_classes = (id_class, *chosen)
@@ -327,15 +333,23 @@ def _normalized_pairs(
                 xmask |= cmasks[c]
             if xmask in covered_x:
                 continue
-            # One map per distinct image sX != X: the factorizations with
-            # small side sX are exactly the (sX, sY) for those with side X.
-            images = {}
-            for tables in map_tables:
-                sx = _map_mask(tables, xmask)
-                if sx != xmask and sx not in images:
-                    images[sx] = tables
-            covered_x.update(images)
-            images = tuple(images.items())
+            # The orbit of X: every s(zX), z^-1 in X∩Z and s a power map or
+            # the identity.  zX has the same complements Y as X, and the
+            # factorizations with small side sX are exactly the (sX, sY).
+            # One map per distinct image; where two maps give one image,
+            # the complements of X are closed under either, so they agree.
+            shifts = [_ltrans(G, inv[z], xmask) for z in bits(xmask & zc)]
+            orbit, images = {xmask}, []
+            for tables in maps:
+                sxs = []
+                for zx in shifts:
+                    sx = zx if tables is None else _map_mask(tables, zx)
+                    if sx not in orbit:
+                        orbit.add(sx)
+                        sxs.append(sx)
+                if sxs:
+                    images.append((tables, sxs))
+            covered_x |= orbit
             x_inv = tuple(inv[x] for x in bits(xmask))
 
             # lazily built products X * class, with directness by cardinality
@@ -357,8 +371,10 @@ def _normalized_pairs(
                 if size_left == 0:
                     internal_check(covered == full, "cover completed but not full")
                     add(xmask, ymask, nontrivial)
-                    for sx, tables in images:
-                        add(sx, _map_mask(tables, ymask), nontrivial)
+                    for tables, sxs in images:
+                        sy = ymask if tables is None else _map_mask(tables, ymask)
+                        for sx in sxs:
+                            add(sx, sy, nontrivial)
                     return
                 low = (~covered & full) & -(~covered & full)
                 g = low.bit_length() - 1
@@ -383,7 +399,6 @@ def _normalized_pairs(
                 # too, so that no later collection has to free the search
                 del dfs
         del covered_x  # a later split has another |X|, so none of it recurs
-    return _sorted_pairs(pairs, deadline)
 
 
 def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
@@ -479,25 +494,35 @@ def enumerate_setdirect(
 
     Every returned pair satisfies XY = G with unique representation.  The
     search accepts a group when its divisor-pruned candidate volume stays
-    under candidate_cap.  On an abelian group it searches one small side X
-    per orbit of the power maps x -> x^k (k a unit modulo the exponent,
-    each map checked on the table to be an automorphism) and adds the image
-    (sX, sY) of every pair (X, Y) it finds.  Counts (total, nontrivial,
-    normalized) are always exact; the returned list is either all pairs or,
-    with normalized_only, one normalized pair per entry.
+    under candidate_cap.  It searches one small side X per orbit of the
+    central shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian
+    group, the power maps x -> x^k (k a unit modulo the exponent, each map
+    checked on the table to be an automorphism), and adds the images
+    (zX, Y) and (s(zX), sY) of every pair (X, Y) it finds.  Counts (total,
+    nontrivial, normalized) are always exact; the returned list is either
+    all pairs or, with normalized_only, one normalized pair per entry.
 
-    time_budget bounds the search, the full listing and the building of
-    the returned list.  On a time-out TimeBudgetExceeded.partial holds the
-    normalized pairs found so far as `normalized`, and `total`/`nontrivial`
-    summed over those pairs: lower bounds of the exact counts.  Its list of
-    factorizations is empty.
+    time_budget bounds the search, the sort, the full listing and the
+    building of the returned list.  On a time-out TimeBudgetExceeded.phase
+    names the phase it ran out in ("search", "sort", "expand" or
+    "listing"), and TimeBudgetExceeded.partial holds the normalized pairs
+    found so far as `normalized`, and `total`/`nontrivial` summed over those
+    pairs: lower bounds of the exact counts.  Its list of factorizations is
+    empty.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
     found = _Found()
+    phase = "search"
     try:
-        pairs = _normalized_pairs(G, deadline, candidate_cap, found)
-        listed = pairs if normalized_only else _expand(G, pairs, expansion_cap, deadline)
+        _normalized_pairs(G, deadline, candidate_cap, found)
+        phase = "sort"
+        pairs = _sorted_pairs(found.pairs, deadline)
+        listed = pairs
+        if not normalized_only:
+            phase = "expand"
+            listed = _expand(G, pairs, expansion_cap, deadline)
+        phase = "listing"
         if nontrivial_only:  # a normal singleton is central
             listed = [(xm, ym) for xm, ym in listed
                       if xm.bit_count() > 1 and ym.bit_count() > 1]
@@ -513,7 +538,9 @@ def enumerate_setdirect(
         G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
     )
     raise TimeBudgetExceeded(
-        f"time budget {time_budget}s exhausted on {G.name}", partial=partial
+        f"time budget {time_budget}s exhausted on {G.name} in the {phase} phase",
+        partial=partial,
+        phase=phase,
     )
 
 

@@ -114,8 +114,10 @@ class TestShiftOrbitCounts:
 SMALL_CATALOG = [n for n in catalog_names() if catalog_group(n).order <= 32]
 
 # Normalized pair counts of the plain class-union search, before the
-# power-map orbits were used.
-PINNED_NORMALIZED = {"C20": 1001, "C24": 6625, "C27": 6724, "C3xC3xC2": 1513}
+# power-map orbits were used (C28 and C30 as pinned in perfbench/reference.py).
+PINNED_NORMALIZED = {
+    "C20": 1001, "C24": 6625, "C27": 6724, "C28": 13161, "C30": 41611, "C3xC3xC2": 1513,
+}
 
 
 def naive_exponent(g):
@@ -173,6 +175,38 @@ class TestPowerMapOrbits:
         assert (res.total, res.nontrivial, res.normalized) == (159000, 158976, 6625)
 
 
+SHIFT_CLOSURE_GROUPS = ["C12", "C2xC2xC2", "Q16", "D8oC4", "Q8oC4", "C30"]
+
+
+@pytest.mark.parametrize("name", SHIFT_CLOSURE_GROUPS)
+def test_listing_is_closed_under_normalizing_shifts(name):
+    # (zX, Y) and (X, wY), for z^-1 in X∩Z and w^-1 in Y∩Z, are normalized
+    # factorizations whenever (X, Y) is one, so the listing holds them too
+    g = catalog_group(name)
+    mult, inv, n = g.mult, g.inv, g.order
+    centre = [z for z in range(n) if all(mult[z][x] == mult[x][z] for x in range(n))]
+    res = enumerate_setdirect(g, normalized_only=True)
+    keys = {f.unordered_key() for f in res.factorizations}
+    assert len(keys) == res.normalized
+    memo = {}
+
+    def shifts(mask):
+        got = memo.get(mask)
+        if got is None:
+            members = [x for x in range(n) if mask >> x & 1]
+            got = memo[mask] = [
+                sum(1 << mult[inv[z]][x] for x in members) for z in centre if mask >> z & 1
+            ]
+        return got
+
+    for xm, ym in keys:
+        assert xm >> g.identity & 1 and ym >> g.identity & 1
+        for zx in shifts(xm):
+            assert (min(zx, ym), max(zx, ym)) in keys
+        for wy in shifts(ym):
+            assert (min(xm, wy), max(xm, wy)) in keys
+
+
 def _assert_no_search_frames(exc):
     """The time-out keeps no frame of the search as context or traceback."""
     assert exc.__context__ is None and exc.__cause__ is None
@@ -187,6 +221,8 @@ class TestTimeBudget:
     def test_partial_progress_on_timeout(self):
         with pytest.raises(TimeBudgetExceeded) as info:
             enumerate_setdirect(catalog_group("C40"), normalized_only=True, time_budget=0.5)
+        assert info.value.phase == "search"
+        assert "in the search phase" in str(info.value)
         partial = info.value.partial
         assert partial.normalized > 0
         assert partial.total >= partial.normalized
@@ -213,6 +249,8 @@ class TestTimeBudget:
         monkeypatch.setattr(oracle, "_factorization_list", out_of_time)
         with pytest.raises(TimeBudgetExceeded) as info:
             enumerate_setdirect(g, normalized_only=True)
+        assert info.value.phase == "listing"
+        assert "in the listing phase" in str(info.value)
         partial = info.value.partial
         assert partial.normalized == done.normalized
         assert (partial.total, partial.nontrivial) == (done.total, done.nontrivial)

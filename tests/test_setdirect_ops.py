@@ -293,6 +293,26 @@ class TestFactorizationSystems:
         with pytest.raises(NotSubgroup):
             check_factorization_system(sys_)
 
+    @pytest.mark.parametrize("family", ["M_i", "N_j"])
+    @pytest.mark.parametrize("members", [[0, 1], [1]], ids=["not-closed", "no-identity"])
+    def test_rejects_m_or_n_that_is_not_a_subgroup(self, family, members):
+        z = cyclic(4)
+        one, bad = z.identity_subset(), z.subset(members)
+        if family == "M_i":
+            sys_ = FactorizationSystem(z.full_subset(), (bad,), (one,), (z.full_subset(),), (one,))
+        else:
+            sys_ = FactorizationSystem(z.full_subset(), (one,), (bad,), (one,), (z.full_subset(),))
+        with pytest.raises(NotSubgroup, match=family):
+            check_factorization_system(sys_)
+
+    def test_decomposition_over_another_table_is_rejected(self):
+        g = cyclic(4)
+        cp = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
+        other = _fresh_copy(g)  # the same group as another table
+        with pytest.raises(SystemMismatch, match="not over this group"):
+            system_for_decomposition(other, cp, [g.subset([0, 2])], [g.subset([0, 1])])
+        assert system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])]).z is cp.z
+
     def test_rejects_a_non_abelian_z(self):
         g = symmetric(3)
         one = g.identity_subset()
