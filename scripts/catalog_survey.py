@@ -6,9 +6,9 @@ Usage: python scripts/catalog_survey.py [--max-order N] [--json]
 
 The oracle gets 20 s per group; its wall time is the `oracle_s` column
 (and field in --json).  In the table an oracle that runs out of time shows
-`t/o`, the phase it ran out in (`timeout_phase` in --json: search, sort,
-expand or listing) and the normalized pairs it found (`>=N`); a group over
-the oracle's candidate cap shows `cap`.
+`t/o`, the phase it ran out in (`timeout_phase` in --json: search, expand,
+sort or listing, in the order they run) and the normalized pairs it found
+(`>=N`); a group over the oracle's candidate cap shows `cap`.
 """
 
 import argparse

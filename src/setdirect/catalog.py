@@ -131,19 +131,13 @@ def cyclic_product(orders: Sequence[int], *, name: Optional[str] = None) -> Grou
             x //= o
         return tuple(reversed(exps))
 
-    def encode(exps):
-        x = 0
-        for e, o in zip(exps, orders):
-            x = x * o + (e % o)
-        return x
-
     mult = [[0] * n for _ in range(n)]
     for x in range(n):
         ex = decode(x)
         for y in range(n):
             ey = decode(y)
-            mult[x][y] = encode(tuple(a + b for a, b in zip(ex, ey)))
-    inv = [encode(tuple(-a for a in decode(x))) for x in range(n)]
+            mult[x][y] = exponent_index(orders, tuple(a + b for a, b in zip(ex, ey)))
+    inv = [exponent_index(orders, tuple(-a for a in decode(x))) for x in range(n)]
 
     def lab(x):
         parts = []

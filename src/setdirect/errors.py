@@ -81,6 +81,12 @@ class NotCertified(GroupError):
     """The operation requires a certified full-group factorization."""
 
 
+class ForeignSubset(GroupError, ValueError):
+    """A subset belongs to another group table than the one it is used in.
+
+    Also a ValueError, so that callers catching that still catch it."""
+
+
 class ContainmentViolated(GroupError):
     """Factors are not contained in the subgroups they must live in."""
 

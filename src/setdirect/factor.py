@@ -28,6 +28,7 @@ from .central import (
 from .errors import (
     ContainmentViolated,
     EmptySet,
+    ForeignSubset,
     HypothesisViolated,
     IndexMismatch,
     InvalidChoice,
@@ -333,7 +334,7 @@ def kernel(Zgrp: GroupTable, S: Subset) -> Subset:
     if not Zgrp.is_abelian:
         raise NotAbelian("kernels are defined over abelian groups here")
     if S.group is not Zgrp:
-        raise ValueError("subset belongs to a different group")
+        raise ForeignSubset("subset belongs to a different group")
     if not S.mask:
         raise EmptySet("kernel of the empty set")
     return Subset(Zgrp, _kernel_within(Zgrp, Zgrp.full_mask, S.mask))
@@ -405,7 +406,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
     ):
         for s in family:
             if s.group is not G:
-                raise ValueError(f"{name} does not live in Z's group")
+                raise ForeignSubset(f"{name} does not live in Z's group")
             if s.mask & ~zmask:
                 raise ContainmentViolated(f"{name} does not lie inside Z")
     for name, family in (("M_i", sys.m_subgroups), ("N_j", sys.n_subgroups)):

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     EmptyGeneratingSet,
     EmptySet,
+    ForeignSubset,
     NotAGroup,
     NotCentral,
     NotIsomorphism,
@@ -192,7 +193,7 @@ class Subset:
 
     def _check_same_group(self, other: "Subset") -> None:
         if self.group is not other.group:
-            raise ValueError("subsets belong to different groups")
+            raise ForeignSubset("subsets belong to different groups")
 
     def __or__(self, other: "Subset") -> "Subset":
         self._check_same_group(other)
@@ -734,7 +735,7 @@ class SubgroupView:
     def pull(self, S: Subset) -> Subset:
         """Map a parent subset contained in the viewed subgroup into the view."""
         if S.group is not self.parent:
-            raise ValueError("subset belongs to a different group")
+            raise ForeignSubset("subset belongs to a different group")
         index = self._index
         try:
             return self.table.subset(index[x] for x in bits(S.mask))
@@ -744,7 +745,7 @@ class SubgroupView:
     def push(self, S: Subset) -> Subset:
         """Map a view subset back into the parent group."""
         if S.group is not self.table:
-            raise ValueError("subset belongs to a different group")
+            raise ForeignSubset("subset belongs to a different group")
         return self.parent.subset(self.to_parent[i] for i in bits(S.mask))
 
 

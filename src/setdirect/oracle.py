@@ -19,6 +19,11 @@ The totals follow from the normalized pairs in closed form (each normalized
 ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations); the
 shifts themselves are built only for a full listing.  Nothing here consults
 the structural verifier.
+
+An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
+from the search to the listing, so numeric order is the order of (lo, hi).
+A run goes search, expand (full listing only), sort, listing, each phase
+under one deadline; the candidate volume and the expansion have fixed caps.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from .groups import (
 )
 
 DEFAULT_TIME_BUDGET = 60.0
-DEFAULT_EXPANSION_CAP = 2_000_000
-DEFAULT_CANDIDATE_CAP = 3_000_000
+_EXPANSION_CAP = 2_000_000  # ordered shifts |Z|^2 times the normalized pairs
+_CANDIDATE_CAP = 3_000_000  # normalized small sides over all divisor splits
 
 
 @dataclass
@@ -136,23 +141,11 @@ def _count_subsets_by_size(sizes, indices):
     return counts
 
 
-def _search_volume(G: GroupTable):
-    """Number of normalized small-side candidates the search will visit."""
-    part = conjugacy_classes(G)
-    sizes = part.sizes()
-    id_class = part.class_of[G.identity]
-    others = [c for c in range(len(part)) if c != id_class]
-    counts = _count_subsets_by_size(sizes, others)
-    total = 0
-    for d, _ in _divisor_splits(G.order):
-        total += counts.get(d - sizes[id_class], 0)
-    return total
-
-
 @dataclass
 class _Found:
     """Unordered normalized pairs met so far, with their shift weights.
 
+    pairs holds each pair of masks lo <= hi as the int lo << |G| | hi.
     weights maps (|X∩Z| |Y∩Z|, nontrivial) to the number of normalized
     ordered pairs with that product; it is tallied as each new pair is met,
     so the counts cost no pass over the pairs afterwards.
@@ -165,55 +158,34 @@ class _Found:
 _SORT_CHUNK = 1 << 16  # one sort of this many pairs takes tens of ms
 
 
-def _sorted_pairs(pairs, deadline: _Deadline) -> list:
-    """Mask pairs (a, b) in ascending order, without a long sort.
+def _sorted(values, deadline: _Deadline) -> list:
+    """Distinct ints in ascending order, without a long sort.
 
     One sort of C45's 5.2 million pairs takes seconds with no deadline
     poll (3.4 s for the 4.8 million of them that share the side <z^15>,
-    2-vCPU host).  So a large input is bucketed by a in a pass that polls
-    the deadline, and a large bucket is split further by _sorted_by_b.
-    The clock is read before each bucket's sort: C44's 3.2 million pairs
-    fall into 61 079 buckets, and sorting them all took up to 5 s on a
-    2-vCPU host.
+    2-vCPU host).  So a large input is split into 256 parts by its leading
+    bits above the least value, in passes that poll the deadline, and each
+    part is sorted the same way.  The clock is read before each part's
+    sort, as a poll may not come due within a pass.
     """
-    if len(pairs) <= _SORT_CHUNK:
-        return sorted(pairs)
-    by_a = {}
-    for p in pairs:
+    if len(values) <= _SORT_CHUNK:
+        return sorted(values)
+    least = most = next(iter(values))
+    for v in values:
         deadline.poll()
-        bucket = by_a.get(p[0])
-        if bucket is None:
-            by_a[p[0]] = [p]
-        else:
-            bucket.append(p)
-    out = []
-    for a in sorted(by_a):
-        deadline.check()
-        bucket = by_a[a]
-        out += sorted(bucket) if len(bucket) <= _SORT_CHUNK else _sorted_by_b(bucket, deadline)
-    return out
-
-
-def _sorted_by_b(pairs: list, deadline: _Deadline) -> list:
-    """Distinct pairs (a, b) that share a, in ascending order: split into 256
-    parts by the leading bits of b above the least b, in passes that poll
-    the deadline, and each part sorted the same way."""
-    least = most = pairs[0][1]
-    for p in pairs:
-        deadline.poll()
-        if p[1] < least:
-            least = p[1]
-        elif p[1] > most:
-            most = p[1]
+        if v < least:
+            least = v
+        elif v > most:
+            most = v
     shift = max((most - least).bit_length() - 8, 0)
     parts = [[] for _ in range(256)]
-    for p in pairs:
+    for v in values:
         deadline.poll()
-        parts[(p[1] - least) >> shift].append(p)
+        parts[(v - least) >> shift].append(v)
     out = []
     for part in parts:
         deadline.check()
-        out += sorted(part) if len(part) <= _SORT_CHUNK else _sorted_by_b(part, deadline)
+        out += _sorted(part, deadline)
     return out
 
 
@@ -273,28 +245,27 @@ def _map_mask(tables, mask: int) -> int:
     return m
 
 
-def _normalized_pairs(
-    G: GroupTable, deadline: _Deadline, candidate_cap: int, found: _Found
-) -> None:
-    """Put every unordered normalized factorization pair, as (xmask, ymask),
-    into `found`.
+def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None:
+    """Put every unordered normalized factorization pair, packed, into `found`.
 
     Pairs go in as the search meets them, so a caller that catches
     _OutOfTime still holds every pair found before the deadline.
     """
     part = conjugacy_classes(G)
     k = len(part)
-    volume = _search_volume(G)
-    if volume > candidate_cap:
-        raise SearchSpaceTooLarge(
-            f"{G.name}: {k} classes give {volume} candidate factors, over "
-            f"the cap {candidate_cap}"
-        )
     n = G.order
-    full = G.full_mask
+    sizes = part.sizes()
     id_class = part.class_of[G.identity]
     others = [c for c in range(k) if c != id_class]
-    sizes = part.sizes()
+    splits = _divisor_splits(n)
+    counts = _count_subsets_by_size(sizes, others)
+    volume = sum(counts.get(d - sizes[id_class], 0) for d, _ in splits)
+    if volume > _CANDIDATE_CAP:
+        raise SearchSpaceTooLarge(
+            f"{G.name}: {k} classes give {volume} candidate factors, over "
+            f"the cap {_CANDIDATE_CAP}"
+        )
+    full = G.full_mask
     cmasks = [part.class_mask(c) for c in range(k)]
     mult, inv = G.mult, G.inv
     class_of = part.class_of
@@ -304,7 +275,7 @@ def _normalized_pairs(
     maps = (None, *(_byte_tables(s) for s in _power_maps(G)[1:]))
 
     def add(xm, ym, nontrivial):
-        key = (xm, ym) if xm <= ym else (ym, xm)
+        key = xm << n | ym if xm <= ym else ym << n | xm
         if key in pairs:  # with |X| = |Y| a pair can be met twice
             return
         pairs.add(key)
@@ -322,7 +293,7 @@ def _normalized_pairs(
             pair_products[key] = m
         return m
 
-    for d, e in _divisor_splits(n):
+    for d, e in splits:
         nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
         covered_x = set()  # the orbits of earlier X
         for chosen in _subsets_with_total(sizes, others, d - sizes[id_class]):
@@ -425,16 +396,14 @@ def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
     return (ordered_total(False) + diagonal) // 2, (ordered_total(True) + diagonal) // 2
 
 
-def _center_translates(G: GroupTable, mask: int):
-    return [_ltrans(G, z, mask) for z in bits(center(G).mask)]
-
-
-def _expand(G: GroupTable, pairs, cap: int, deadline: _Deadline):
-    zsize = center(G).mask.bit_count()
-    if zsize * zsize * max(len(pairs), 1) > cap:
+def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
+    """Every central shift (zX, wY) of the packed normalized pairs, packed."""
+    n, full = G.order, G.full_mask
+    zs = tuple(bits(center(G).mask))
+    if len(zs) ** 2 * max(len(pairs), 1) > _EXPANSION_CAP:
         raise SearchSpaceTooLarge(
-            f"expanding {len(pairs)} normalized pairs by {zsize}^2 central "
-            f"shifts exceeds the cap {cap}; use normalized_only"
+            f"expanding {len(pairs)} normalized pairs by {len(zs)}^2 central "
+            f"shifts exceeds the cap {_EXPANSION_CAP}; use normalized_only"
         )
     out = set()
     tcache: dict = {}
@@ -442,36 +411,41 @@ def _expand(G: GroupTable, pairs, cap: int, deadline: _Deadline):
     def translates(mask):
         got = tcache.get(mask)
         if got is None:
-            got = _center_translates(G, mask)
-            tcache[mask] = got
+            got = tcache[mask] = [_ltrans(G, z, mask) for z in zs]
         return got
 
-    for xm, ym in pairs:
-        for tx in translates(xm):
-            for ty in translates(ym):
+    for v in pairs:
+        tys = translates(v & full)
+        for tx in translates(v >> n):
+            for ty in tys:
                 deadline.poll()
-                out.add((tx, ty) if tx <= ty else (ty, tx))
-    return _sorted_pairs(out, deadline)
+                out.add(tx << n | ty if tx <= ty else ty << n | tx)
+    return out
 
 
 def _factorization_list(G: GroupTable, listed, deadline: _Deadline) -> list:
-    """The listed pairs as factorizations, built with the cyclic garbage
-    collector paused.
+    """The sorted packed pairs as factorizations, built with the cyclic
+    garbage collector paused.
 
-    The objects form no cycles, but each full collection walks all of
-    them: listing C42's 2.7 million normalized pairs took 31 s with the
-    collector on (one pause of 7 s, which no deadline poll can cut short)
-    and 8 s with it paused, on a 2-vCPU host.  A list cut short by the
-    deadline is dropped before the collector resumes, so it does not walk
-    that either.
+    Pairs that share their first mask are contiguous in sorted order, so
+    each such run shares one Subset for it.  The objects form no cycles, but
+    each full collection walks all of them: listing C42's 2.7 million
+    normalized pairs took 31 s with the collector on (one pause of 7 s,
+    which no deadline poll can cut short) and 8 s with it paused, on a
+    2-vCPU host.  A list cut short by the deadline is dropped before the
+    collector resumes, so it does not walk that either.
     """
+    n, full = G.order, G.full_mask
     facts = []
+    x = Subset(G, 0)  # no listed pair has an empty side
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for xm, ym in listed:
+        for v in listed:
             deadline.poll()
-            facts.append(SetDirectFactorization(G, Subset(G, xm), Subset(G, ym), True))
+            if v >> n != x.mask:
+                x = Subset(G, v >> n)
+            facts.append(SetDirectFactorization(G, x, Subset(G, v & full), True))
     except _OutOfTime:
         facts.clear()
         raise
@@ -487,59 +461,59 @@ def enumerate_setdirect(
     normalized_only: bool = False,
     nontrivial_only: bool = False,
     time_budget: float = DEFAULT_TIME_BUDGET,
-    expansion_cap: int = DEFAULT_EXPANSION_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> EnumerationResult:
     """Exhaustively enumerate the set-direct factorizations of G.
 
     Every returned pair satisfies XY = G with unique representation.  The
     search accepts a group when its divisor-pruned candidate volume stays
-    under candidate_cap.  It searches one small side X per orbit of the
-    central shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian
+    under a fixed cap (3 million), and a full listing when its |Z|^2 shifts
+    of the normalized pairs stay under another (2 million); past either it
+    raises SearchSpaceTooLarge.  It searches one small side X per orbit of
+    the central shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian
     group, the power maps x -> x^k (k a unit modulo the exponent, each map
     checked on the table to be an automorphism), and adds the images
     (zX, Y) and (s(zX), sY) of every pair (X, Y) it finds.  Counts (total,
     nontrivial, normalized) are always exact; the returned list is either
-    all pairs or, with normalized_only, one normalized pair per entry.
+    all pairs or, with normalized_only, one normalized pair per entry, in
+    ascending order of (min mask, max mask) either way.
 
-    time_budget bounds the search, the sort, the full listing and the
-    building of the returned list.  On a time-out TimeBudgetExceeded.phase
-    names the phase it ran out in ("search", "sort", "expand" or
-    "listing"), and TimeBudgetExceeded.partial holds the normalized pairs
-    found so far as `normalized`, and `total`/`nontrivial` summed over those
-    pairs: lower bounds of the exact counts.  Its list of factorizations is
-    empty.
+    The phases run in the order search, expand (full listing only), sort,
+    listing; each pair is one packed int through all of them, and the list
+    is sorted once.  time_budget bounds them all.  On a time-out
+    TimeBudgetExceeded.phase names the phase it ran out in, and
+    TimeBudgetExceeded.partial holds the normalized pairs found so far as
+    `normalized`, and `total`/`nontrivial` summed over those pairs: lower
+    bounds of the exact counts.  Its list of factorizations is empty.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
     found = _Found()
     phase = "search"
     try:
-        _normalized_pairs(G, deadline, candidate_cap, found)
-        phase = "sort"
-        pairs = _sorted_pairs(found.pairs, deadline)
-        listed = pairs
+        _normalized_pairs(G, deadline, found)
+        listed = found.pairs
         if not normalized_only:
             phase = "expand"
-            listed = _expand(G, pairs, expansion_cap, deadline)
+            listed = _expand(G, listed, deadline)
+        phase = "sort"
+        listed = _sorted(listed, deadline)
         phase = "listing"
         if nontrivial_only:  # a normal singleton is central
-            listed = [(xm, ym) for xm, ym in listed
-                      if xm.bit_count() > 1 and ym.bit_count() > 1]
+            n, full = G.order, G.full_mask
+            listed = [v for v in listed
+                      if (v >> n).bit_count() > 1 and (v & full).bit_count() > 1]
         facts = _factorization_list(G, listed, deadline)
     except _OutOfTime:
         facts = None  # raised below, so the exception keeps no search frame as context
     total, nontrivial = _orbit_counts(G, found.weights)
-    if facts is not None:
-        return EnumerationResult(
-            G.name, facts, total, nontrivial, len(pairs), time.perf_counter() - start
-        )
-    partial = EnumerationResult(
-        G.name, [], total, nontrivial, len(found.pairs), time.perf_counter() - start
+    result = EnumerationResult(
+        G.name, facts or [], total, nontrivial, len(found.pairs), time.perf_counter() - start
     )
+    if facts is not None:
+        return result
     raise TimeBudgetExceeded(
         f"time budget {time_budget}s exhausted on {G.name} in the {phase} phase",
-        partial=partial,
+        partial=result,
         phase=phase,
     )
 

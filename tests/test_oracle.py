@@ -74,8 +74,6 @@ class TestEnumeration:
     def test_candidate_volume_bound(self):
         with pytest.raises(SearchSpaceTooLarge):
             enumerate_setdirect(cyclic(64))  # the (8,8) split alone is 5e8
-        with pytest.raises(SearchSpaceTooLarge):
-            enumerate_setdirect(cyclic(24), candidate_cap=100)
 
     def test_prime_cyclic_over_26_classes_is_fine(self):
         res = enumerate_setdirect(cyclic(31), nontrivial_only=True)
@@ -207,6 +205,34 @@ def test_listing_is_closed_under_normalizing_shifts(name):
             assert (min(xm, wy), max(xm, wy)) in keys
 
 
+def _packed(lo, hi, n=30):
+    """A pair of n-bit masks as the oracle packs it: lo << n | hi."""
+    return lo << n | hi
+
+
+LISTING_ORDER_GROUPS = ["C12", "C2xC2xC2", "D8oC4"]
+
+
+@pytest.mark.parametrize("name", LISTING_ORDER_GROUPS)
+def test_listings_ascend_and_are_sorted_once(name, monkeypatch):
+    g = catalog_group(name)
+    for kw in ({"normalized_only": True}, {}, {"nontrivial_only": True}):
+        res = enumerate_setdirect(g, **kw)
+        keys = [f.unordered_key() for f in res.factorizations]
+        assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+
+    calls = []
+    real = oracle._sorted
+
+    def counted(values, deadline):
+        calls.append(len(values))
+        return real(values, deadline)
+
+    monkeypatch.setattr(oracle, "_sorted", counted)
+    res = enumerate_setdirect(g)
+    assert calls == [len(res.factorizations)]
+
+
 def _assert_no_search_frames(exc):
     """The time-out keeps no frame of the search as context or traceback."""
     assert exc.__context__ is None and exc.__cause__ is None
@@ -268,32 +294,34 @@ class TestTimeBudget:
 
     def test_sorted_listing_polls_the_deadline(self):
         rng = random.Random(5)
-        spread = {tuple(sorted((rng.getrandbits(30), rng.getrandbits(30))))
+        spread = {_packed(*sorted((rng.getrandbits(30), rng.getrandbits(30))))
                   for _ in range(100_000)}
         # one shared small side, as in C45's 4.8 million pairs with X = <z^15>
-        skewed = {(3, rng.getrandbits(30)) for _ in range(100_000)}
-        for pairs in (spread, skewed):
-            assert oracle._sorted_pairs(pairs, oracle._Deadline(60.0)) == sorted(pairs)
+        skewed = {_packed(3, rng.getrandbits(30)) for _ in range(100_000)}
+        for values in (spread, skewed):
+            assert oracle._sorted(values, oracle._Deadline(60.0)) == sorted(values)
             with pytest.raises(oracle._OutOfTime):
-                oracle._sorted_pairs(pairs, oracle._Deadline(0.0))
-        small = {(1, 9), (3, 5), (1, 2)}  # one plain sort, no poll
-        assert oracle._sorted_pairs(small, oracle._Deadline(0.0)) == [(1, 2), (1, 9), (3, 5)]
+                oracle._sorted(values, oracle._Deadline(0.0))
+        small = {_packed(1, 9), _packed(3, 5), _packed(1, 2)}  # one plain sort, no poll
+        assert oracle._sorted(small, oracle._Deadline(0.0)) == [
+            _packed(1, 2), _packed(1, 9), _packed(3, 5)
+        ]
 
     def test_bucket_sorts_read_the_clock(self):
         # A deadline whose poll never reads the clock: only the read before
-        # each bucket's sort (and each part of a large bucket) can stop it.
+        # each part's sort (and each part of a large part) can stop it.
         class NoPoll(oracle._Deadline):
             def poll(self):
                 pass
 
         rng = random.Random(6)
-        spread = {(rng.getrandbits(30), rng.getrandbits(30)) for _ in range(100_000)}
-        skewed = [(3, b) for b in rng.sample(range(1 << 30), 100_000)]
+        spread = {_packed(rng.getrandbits(30), rng.getrandbits(30)) for _ in range(100_000)}
+        skewed = [_packed(3, b) for b in rng.sample(range(1 << 30), 100_000)]
         with pytest.raises(oracle._OutOfTime):
-            oracle._sorted_pairs(spread, NoPoll(0.0))
+            oracle._sorted(spread, NoPoll(0.0))
         with pytest.raises(oracle._OutOfTime):
-            oracle._sorted_by_b(skewed, NoPoll(0.0))
-        assert oracle._sorted_by_b(skewed, NoPoll(60.0)) == sorted(skewed)
+            oracle._sorted(skewed, NoPoll(0.0))
+        assert oracle._sorted(skewed, NoPoll(60.0)) == sorted(skewed)
 
     def test_listing_restores_the_collector(self):
         g = catalog_group("C12")

@@ -28,6 +28,7 @@ from setdirect.central import (
 from setdirect.errors import (
     ContainmentViolated,
     EmptySet,
+    GroupError,
     HypothesisViolated,
     IndexMismatch,
     InvalidChoice,
@@ -221,6 +222,25 @@ class TestKernel:
         z = cyclic(4)
         with pytest.raises(EmptySet):
             kernel(z, z.empty_subset())
+
+
+@pytest.mark.parametrize("call", ["kernel", "check_factorization_system", "union"])
+def test_a_subset_of_another_table_raises_a_group_error(call):
+    z, other = cyclic(4), cyclic(4)
+    foreign = other.subset([0, 2])
+    with pytest.raises(GroupError) as info:
+        if call == "kernel":
+            kernel(z, foreign)
+        elif call == "check_factorization_system":
+            one = z.identity_subset()
+            sys_ = FactorizationSystem(
+                z.full_subset(), (one,), (one,), (foreign,), (z.subset([0, 1]),)
+            )
+            check_factorization_system(sys_)
+        else:
+            z.subset([0, 1]) | foreign
+    # still the ValueError it always was, for callers that catch that
+    assert isinstance(info.value, ValueError)
 
 
 class TestFactorizationSystems:
