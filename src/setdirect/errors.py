@@ -87,8 +87,10 @@ class ForeignSubset(GroupError, ValueError):
     Also a ValueError, so that callers catching that still catch it."""
 
 
-class ContainmentViolated(GroupError):
-    """Factors are not contained in the subgroups they must live in."""
+class ContainmentViolated(GroupError, ValueError):
+    """A subset is not contained in the subgroup it must live in.
+
+    Also a ValueError, as ForeignSubset is."""
 
 
 class SearchSpaceTooLarge(GroupError):

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EmptyGeneratingSet,
+    ContainmentViolated,
     EmptySet,
     ForeignSubset,
     NotAGroup,
@@ -740,7 +741,7 @@ class SubgroupView:
         try:
             return self.table.subset(index[x] for x in bits(S.mask))
         except KeyError:
-            raise ValueError("subset is not contained in the viewed subgroup") from None
+            raise ContainmentViolated("subset is not contained in the viewed subgroup") from None
 
     def push(self, S: Subset) -> Subset:
         """Map a view subset back into the parent group."""

@@ -3,7 +3,11 @@
 enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
-an exact-cover search.  Each small side X found stands for an orbit:
+an exact-cover search.  The small sides X come as union masks, in the
+lexicographic order of their classes; the cover of G by products X·c keeps,
+per X, one column per element g (the classes c with g in X·c and X·c
+direct), built the first time g is the lowest uncovered element.  Each
+small side X found stands for an orbit:
 - central shifts: for z^-1 in X∩Z, zX is normalized and has the same
   complements Y as X (zX·Y = zG = G, with unique representation);
 - power maps: on an abelian group the maps x -> x^k, k a unit modulo the
@@ -22,8 +26,9 @@ the structural verifier.
 
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
-A run goes search, expand (full listing only), sort, listing, each phase
-under one deadline; the candidate volume and the expansion have fixed caps.
+A run goes search, expand (full listing only), sort (chunks, then pairwise
+merges), listing, each phase under one deadline; the candidate volume and
+the expansion have fixed caps.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import gc
 import math
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .central import class_stabilizer, minimal_normal_subgroups
@@ -98,44 +104,34 @@ class _OutOfTime(Exception):
 
 
 def _divisor_splits(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append((d, n // d))
-        d += 1
-    return out
+    return [(d, n // d) for d in range(1, math.isqrt(n) + 1) if n % d == 0]
 
 
-def _subsets_with_total(sizes, order, target):
-    """Yield index tuples of classes whose sizes sum to target."""
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[order[i]]
+def _class_unions(sizes, masks, target):
+    """Yield the unions of classes (parallel lists of sizes and masks) whose
+    sizes sum to target, in lexicographic order of their index tuples."""
+    n = len(sizes)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + sizes[i]
 
-    picked = []
+    def rec(start, left, mask):
+        for i in range(start, n):
+            if suffix[i] < left:
+                return
+            s = sizes[i]
+            if s < left:
+                yield from rec(i + 1, left - s, mask | masks[i])
+            elif s == left:
+                yield mask | masks[i]
 
-    def rec(pos, remaining):
-        if remaining == 0:
-            yield tuple(picked)
-            return
-        if pos == len(order) or remaining > suffix[pos]:
-            return
-        c = order[pos]
-        if sizes[c] <= remaining:
-            picked.append(c)
-            yield from rec(pos + 1, remaining - sizes[c])
-            picked.pop()
-        yield from rec(pos + 1, remaining)
-
-    yield from rec(0, target)
+    yield from rec(0, target, 0) if target else (0,)  # (0,): the empty union
 
 
-def _count_subsets_by_size(sizes, indices):
-    """Subset counts of the given classes grouped by total size (DP)."""
+def _count_subsets_by_size(sizes):
+    """Subset counts of classes of the given sizes grouped by total (DP)."""
     counts = {0: 1}
-    for c in indices:
-        s = sizes[c]
+    for s in sizes:
         for total, cnt in sorted(counts.items(), reverse=True):
             counts[total + s] = counts.get(total + s, 0) + cnt
     return counts
@@ -159,34 +155,28 @@ _SORT_CHUNK = 1 << 16  # one sort of this many pairs takes tens of ms
 
 
 def _sorted(values, deadline: _Deadline) -> list:
-    """Distinct ints in ascending order, without a long sort.
+    """Distinct ints in ascending order, without a long unpolled sort.
 
     One sort of C45's 5.2 million pairs takes seconds with no deadline
-    poll (3.4 s for the 4.8 million of them that share the side <z^15>,
-    2-vCPU host).  So a large input is split into 256 parts by its leading
-    bits above the least value, in passes that poll the deadline, and each
-    part is sorted the same way.  The clock is read before each part's
-    sort, as a poll may not come due within a pass.
+    poll.  So a large input is sorted in chunks of _SORT_CHUNK values, and
+    the sorted runs are merged two at a time, oldest first, until one is
+    left; list.sort merges two presorted runs in one linear pass.  The
+    clock is read before each chunk and each merge.
     """
     if len(values) <= _SORT_CHUNK:
         return sorted(values)
-    least = most = next(iter(values))
-    for v in values:
-        deadline.poll()
-        if v < least:
-            least = v
-        elif v > most:
-            most = v
-    shift = max((most - least).bit_length() - 8, 0)
-    parts = [[] for _ in range(256)]
-    for v in values:
-        deadline.poll()
-        parts[(v - least) >> shift].append(v)
-    out = []
-    for part in parts:
+    it = iter(values)
+    runs = deque()
+    for _ in range(0, len(values), _SORT_CHUNK):
         deadline.check()
-        out += _sorted(part, deadline)
-    return out
+        runs.append(sorted(islice(it, _SORT_CHUNK)))
+    while len(runs) > 1:
+        deadline.check()
+        run = runs.popleft()
+        run += runs.popleft()
+        run.sort()
+        runs.append(run)
+    return runs[0]
 
 
 def _power_maps(G: GroupTable) -> list:
@@ -248,8 +238,13 @@ def _map_mask(tables, mask: int) -> int:
 def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None:
     """Put every unordered normalized factorization pair, packed, into `found`.
 
-    Pairs go in as the search meets them, so a caller that catches
-    _OutOfTime still holds every pair found before the deadline.
+    Each candidate X (a union of classes holding the identity) whose
+    orbit no earlier X covers is completed by Knuth's exact cover: the
+    lowest uncovered element g picks the column of classes c to try, in
+    ascending order.  A column is cached per X, so a node reads it rather
+    than rebuilding it from the products X·c.  Pairs go in as the search
+    meets them, so a caller that catches _OutOfTime still holds every pair
+    found before the deadline.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -257,8 +252,9 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     sizes = part.sizes()
     id_class = part.class_of[G.identity]
     others = [c for c in range(k) if c != id_class]
+    o_sizes = [sizes[c] for c in others]
     splits = _divisor_splits(n)
-    counts = _count_subsets_by_size(sizes, others)
+    counts = _count_subsets_by_size(o_sizes)
     volume = sum(counts.get(d - sizes[id_class], 0) for d, _ in splits)
     if volume > _CANDIDATE_CAP:
         raise SearchSpaceTooLarge(
@@ -286,22 +282,20 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     pair_products: dict = {}
 
     def class_pair(cx, cy):
-        key = (cx, cy)
-        m = pair_products.get(key)
+        m = pair_products.get((cx, cy))
         if m is None:
-            m = _product_mask(G, cmasks[cx], cmasks[cy])
-            pair_products[key] = m
+            m = pair_products[cx, cy] = _product_mask(G, cmasks[cx], cmasks[cy])
         return m
 
+    poll = deadline.poll
+    o_masks = [cmasks[c] for c in others]
+    id_mask = cmasks[id_class]
     for d, e in splits:
         nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
         covered_x = set()  # the orbits of earlier X
-        for chosen in _subsets_with_total(sizes, others, d - sizes[id_class]):
-            deadline.poll()
-            x_classes = (id_class, *chosen)
-            xmask = 0
-            for c in x_classes:
-                xmask |= cmasks[c]
+        for xmask in _class_unions(o_sizes, o_masks, d - sizes[id_class]):
+            poll()
+            xmask |= id_mask
             if xmask in covered_x:
                 continue
             # The orbit of X: every s(zX), z^-1 in X∩Z and s a power map or
@@ -322,6 +316,7 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                     images.append((tables, sxs))
             covered_x |= orbit
             x_inv = tuple(inv[x] for x in bits(xmask))
+            x_classes = {class_of[x] for x in bits(xmask)}
 
             # lazily built products X * class, with directness by cardinality
             xc_cache: dict = {}
@@ -337,8 +332,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                     xc_cache[c] = m
                 return m
 
+            columns = [None] * n  # column g: (|c|, X * c, c) per usable class c
+
             def dfs(covered, size_left, ymask):
-                deadline.poll()
+                poll()
                 if size_left == 0:
                     internal_check(covered == full, "cover completed but not full")
                     add(xmask, ymask, nontrivial)
@@ -347,24 +344,24 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                         for sx in sxs:
                             add(sx, sy, nontrivial)
                     return
-                low = (~covered & full) & -(~covered & full)
-                g = low.bit_length() - 1
-                cands = set()
-                for xi in x_inv:
-                    cands.add(class_of[mult[xi][g]])
-                for c in sorted(cands):
-                    if sizes[c] > size_left:
-                        continue
-                    pm = x_times(c)
-                    if pm == -1 or pm & covered:
-                        continue
-                    dfs(covered | pm, size_left - sizes[c], ymask | cmasks[c])
+                low = ~covered & full
+                g = (low & -low).bit_length() - 1
+                col = columns[g]
+                if col is None:
+                    col = columns[g] = [
+                        (sizes[c], pm, cmasks[c])
+                        for c in sorted({class_of[mult[xi][g]] for xi in x_inv})
+                        if (pm := x_times(c)) != -1
+                    ]
+                for size, pm, cm in col:
+                    if size <= size_left and not pm & covered:
+                        dfs(covered | pm, size_left - size, ymask | cm)
 
             # Y is normalized too: it must contain the identity class.
             init = x_times(id_class)
             try:
                 if init != -1:
-                    dfs(init, e - sizes[id_class], cmasks[id_class])
+                    dfs(init, e - sizes[id_class], id_mask)
             finally:
                 # dfs refers to itself: break that cycle here, on a time-out
                 # too, so that no later collection has to free the search

@@ -18,7 +18,9 @@ from setdirect.catalog import (
     symmetric,
 )
 from setdirect.errors import (
+    ContainmentViolated,
     EmptyGeneratingSet,
+    GroupError,
     NotAGroup,
     NotNormalSubgroup,
     OrderLimitExceeded,
@@ -535,6 +537,14 @@ class TestSubgroupView:
         outside = next(x for x in g.elements() if x not in view.to_parent)
         with pytest.raises(ValueError, match="not contained"):
             view.pull(g.subset([0, outside]))
+
+    def test_pull_outside_the_subgroup_is_a_typed_group_error(self):
+        g = dihedral(12)
+        view = subgroup_view(g, generated_subgroup(g, g.subset([1])))
+        outside = next(x for x in g.elements() if x not in view.to_parent)
+        with pytest.raises(GroupError) as info:
+            view.pull(g.subset([0, outside]))
+        assert isinstance(info.value, ContainmentViolated)
 
 
 class TestCatalog:

@@ -2,6 +2,8 @@
 transversal search and the property suite."""
 
 import gc
+import hashlib
+import itertools
 import math
 import random
 import time
@@ -11,7 +13,7 @@ import pytest
 
 from setdirect.catalog import catalog_group, catalog_names, cyclic, quaternion, symmetric
 from setdirect.errors import SearchSpaceTooLarge, TimeBudgetExceeded
-from setdirect.groups import center, generated_subgroup, set_product
+from setdirect.groups import center, conjugacy_classes, generated_subgroup, set_product
 from setdirect import oracle
 from setdirect.oracle import (
     enumerate_setdirect,
@@ -231,6 +233,46 @@ def test_listings_ascend_and_are_sorted_once(name, monkeypatch):
     monkeypatch.setattr(oracle, "_sorted", counted)
     res = enumerate_setdirect(g)
     assert calls == [len(res.factorizations)]
+
+
+ENUMERATOR_GROUPS = ["S5", "D8oC4", "C12", "C3xC3xC2"]
+
+
+@pytest.mark.parametrize("name", ENUMERATOR_GROUPS)
+def test_class_unions_match_combinations_in_order(name):
+    g = catalog_group(name)
+    part = conjugacy_classes(g)
+    sizes = part.sizes()
+    masks = [part.class_mask(c) for c in range(len(part))]
+    # every index tuple of classes, in lexicographic order, by its total size
+    by_total = {}
+    for t in sorted(c for r in range(len(sizes) + 1)
+                    for c in itertools.combinations(range(len(sizes)), r)):
+        mask = 0
+        for i in t:
+            mask |= masks[i]
+        by_total.setdefault(sum(sizes[i] for i in t), []).append(mask)
+    for target in range(g.order + 1):
+        got = list(oracle._class_unions(sizes, masks, target))
+        assert got == by_total.get(target, [])
+
+
+# SHA-256 of each ordered normalized listing, one "x.mask,y.mask" line per
+# pair as scripts/oracle_digest.py hashes it, taken from the search that
+# enumerated index tuples and rebuilt its candidates at every node
+PINNED_LISTINGS = {
+    "C24": "5644755930feeed172547368c1b7c2f93910c3a93090e601513bf5cb3bf3a4a3",
+    "C3xC3xC2": "6a400d7abac1566087b910a6f1852d5fb5fe6f13209b4032e3f71e06ac9f4fc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LISTINGS))
+def test_normalized_listing_is_pinned(name):
+    res = enumerate_setdirect(catalog_group(name), normalized_only=True)
+    h = hashlib.sha256()
+    for f in res.factorizations:
+        h.update(f"{f.x.mask},{f.y.mask}\n".encode())
+    assert h.hexdigest() == PINNED_LISTINGS[name]
 
 
 def _assert_no_search_frames(exc):
