@@ -8,15 +8,17 @@ names like C3xC3xC2 with generator labels g1, g2, ...
 from __future__ import annotations
 
 import json
+import math
+import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import NotAGroup
 from .groups import (
-    DEFAULT_MAX_ORDER,
     GroupTable,
     central_product_embedding,
+    check_order,
     group_from_permutations,
     group_from_table,
 )
@@ -25,6 +27,7 @@ from .groups import (
 def cyclic(n: int, *, name: Optional[str] = None) -> GroupTable:
     if n < 1:
         raise NotAGroup("cyclic group order must be positive")
+    check_order(n)
     mult = [[(a + b) % n for b in range(n)] for a in range(n)]
     inv = [(-a) % n for a in range(n)]
     labels = ["1"] + ["z" if a == 1 else f"z^{a}" for a in range(1, n)]
@@ -32,59 +35,33 @@ def cyclic(n: int, *, name: Optional[str] = None) -> GroupTable:
 
 
 def dihedral(order: int, *, name: Optional[str] = None) -> GroupTable:
-    """Dihedral group of the given (even, >= 2) order: r^a and r^a s."""
+    """Dihedral group of the given (even, >= 2) order: r^a and r^a s, the
+    elements a and n + a for n = order / 2."""
     if order < 2 or order % 2:
         raise NotAGroup("dihedral order must be even and at least 2")
+    check_order(order)
     n = order // 2
-
-    def enc(a, j):
-        return a + n * j
-
-    mult = [[0] * order for _ in range(order)]
-    for a in range(n):
-        for j in (0, 1):
-            row = mult[enc(a, j)]
-            for b in range(n):
-                for k in (0, 1):
-                    if j == 0:
-                        row[enc(b, k)] = enc((a + b) % n, k)
-                    else:
-                        row[enc(b, k)] = enc((a - b) % n, 1 - k)
-    inv = [0] * order
-    for a in range(n):
-        inv[enc(a, 0)] = enc((-a) % n, 0)
-        inv[enc(a, 1)] = enc(a, 1)
+    # r^a s^j r^b s^k = r^(a -+ b) s^(j xor k)
+    mult = [[(a - b if j else a + b) % n + n * (j ^ k) for k in (0, 1) for b in range(n)]
+            for j in (0, 1) for a in range(n)]
+    inv = [(-a) % n for a in range(n)] + list(range(n, order))
     rot = ["1"] + ["r" if a == 1 else f"r{a}" for a in range(1, n)]
     ref = ["s"] + ["rs" if a == 1 else f"r{a}s" for a in range(1, n)]
     return GroupTable(mult, inv, 0, rot + ref, name=name or f"D{order}")
 
 
 def quaternion(order: int, *, name: Optional[str] = None) -> GroupTable:
-    """Generalized quaternion group of order 4m: a^i and a^i b, b^2 = a^m."""
+    """Generalized quaternion group of order 4m: a^i and a^i b, b^2 = a^m,
+    the elements i and n + i for n = 2m."""
     if order < 8 or order % 4:
         raise NotAGroup("generalized quaternion order must be 4m with m >= 2")
+    check_order(order)
     m = order // 4
     n = 2 * m
-
-    def enc(i, j):
-        return i + n * j
-
-    mult = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in (0, 1):
-            row = mult[enc(i, j)]
-            for k in range(n):
-                for l in (0, 1):
-                    if j == 0:
-                        row[enc(k, l)] = enc((i + k) % n, l)
-                    elif l == 0:
-                        row[enc(k, l)] = enc((i - k) % n, 1)
-                    else:
-                        row[enc(k, l)] = enc((i - k + m) % n, 0)
-    inv = [0] * order
-    for i in range(n):
-        inv[enc(i, 0)] = enc((-i) % n, 0)
-        inv[enc(i, 1)] = enc((i + m) % n, 1)
+    # a^i a^k b^l = a^(i+k) b^l;  a^i b a^k b^l = a^(i-k) b^(l+1), b^2 = a^m
+    mult = [[(i + k) % n + n * l if j == 0 else (i - k + m * l) % n + n * (1 - l)
+             for l in (0, 1) for k in range(n)] for j in (0, 1) for i in range(n)]
+    inv = [(-i) % n for i in range(n)] + [(i + m) % n + n for i in range(n)]
     if order == 8:
         labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
     else:
@@ -98,6 +75,8 @@ def symmetric(n: int, *, name: Optional[str] = None) -> GroupTable:
         raise NotAGroup("symmetric degree must be positive")
     if n == 1:
         return group_from_table([[0]], ["()"], name=name or "S1")
+    check_order(n, "degree")  # n! >= n, and the factorial stays cheap
+    check_order(math.factorial(n))
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
@@ -107,6 +86,8 @@ def symmetric(n: int, *, name: Optional[str] = None) -> GroupTable:
 def alternating(n: int, *, name: Optional[str] = None) -> GroupTable:
     if n < 3:
         return group_from_table([[0]], ["()"], name=name or f"A{n}")
+    check_order(n, "degree")
+    check_order(math.factorial(n) // 2)
     gens = []
     for k in range(2, n):
         p = list(range(n))
@@ -120,9 +101,8 @@ def cyclic_product(orders: Sequence[int], *, name: Optional[str] = None) -> Grou
     orders = tuple(int(o) for o in orders)
     if not orders or any(o < 1 for o in orders):
         raise NotAGroup("cyclic factor orders must be positive")
-    n = 1
-    for o in orders:
-        n *= o
+    n = math.prod(orders)
+    check_order(n)
 
     def decode(x):
         exps = []
@@ -197,31 +177,29 @@ def catalog_names() -> tuple:
     return tuple(names)
 
 
+_FAMILIES = {"c": cyclic, "d": dihedral, "q": quaternion, "s": symmetric, "a": alternating}
+# ASCII digits, as int() takes other digits that it then rejects; nine at
+# most, which already name an order far past MAX_ORDER
+_INDEXED = re.compile(r"([cdqsa])([0-9]{1,9})")
+
+
 @lru_cache(maxsize=None)
 def catalog_group(name: str) -> GroupTable:
     """Look up (or build) a catalog group; names are case-insensitive."""
     key = name.strip().lower()
     if key in _CENTRAL_PRODUCTS:
         return central_product_entry(key).group
-    if "x" in key:
-        parts = key.split("x")
-        if all(p.startswith("c") and p[1:].isdigit() for p in parts):
-            return cyclic_product([int(p[1:]) for p in parts],
-                                  name="x".join(p.upper() for p in parts))
-    if key.startswith("c") and key[1:].isdigit():
-        return cyclic(int(key[1:]))
-    if key.startswith("d") and key[1:].isdigit():
-        return dihedral(int(key[1:]))
-    if key.startswith("q") and key[1:].isdigit():
-        return quaternion(int(key[1:]))
-    if key.startswith("s") and key[1:].isdigit():
-        return symmetric(int(key[1:]))
-    if key.startswith("a") and key[1:].isdigit():
-        return alternating(int(key[1:]))
+    parts = key.split("x")
+    found = [_INDEXED.fullmatch(p) for p in parts]
+    if len(parts) == 1 and found[0]:
+        return _FAMILIES[found[0][1]](int(found[0][2]))
+    if all(m and m[1] == "c" for m in found):
+        return cyclic_product([int(m[2]) for m in found],
+                              name="x".join(p.upper() for p in parts))
     raise KeyError(f"unknown catalog group {name!r}")
 
 
-def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def group_from_json(obj) -> GroupTable:
     """Build a group from the JSON group-specification format.
 
     Kinds: "permutations" (generators, plus a degree that must be their
@@ -232,12 +210,12 @@ def group_from_json(obj, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     if not isinstance(obj, dict):
         raise NotAGroup(f"a group specification is a JSON object, not {type(obj).__name__}")
     try:
-        return _group_from_spec(obj, max_order)
+        return _group_from_spec(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise NotAGroup(f"malformed {obj.get('kind')!r} group specification: {exc!r}") from exc
 
 
-def _group_from_spec(obj: dict, max_order: int) -> GroupTable:
+def _group_from_spec(obj: dict) -> GroupTable:
     kind = obj.get("kind")
     if kind == "permutations":
         gens = obj["generators"]
@@ -245,7 +223,7 @@ def _group_from_spec(obj: dict, max_order: int) -> GroupTable:
             degree = obj["degree"]
             if type(degree) is not int or any(len(g) != degree for g in gens):
                 raise NotAGroup(f"degree {degree!r} is not the length of every generator")
-        return group_from_permutations(gens, max_order=max_order)
+        return group_from_permutations(gens)
     if kind == "table":
         return group_from_table(obj["mult"], obj.get("labels"))
     if kind == "catalog":
@@ -253,22 +231,26 @@ def _group_from_spec(obj: dict, max_order: int) -> GroupTable:
             raise NotAGroup(f"catalog name {obj['name']!r} is not a string")
         return catalog_group(obj["name"])
     if kind == "central_product":
-        left = group_from_json(obj["left"], max_order=max_order)
-        right = group_from_json(obj["right"], max_order=max_order)
+        left = group_from_json(obj["left"])
+        right = group_from_json(obj["right"])
         pairing = [tuple(p) for p in obj["pairing"]]
         return central_product_embedding(left, right, pairing).group
     raise NotAGroup(f"unknown group kind {kind!r}")
 
 
-def load_group(spec: str, *, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def load_group(spec: str) -> GroupTable:
     """Resolve a CLI group spec: a catalog name or a path to a JSON file."""
     path = Path(spec)
-    if spec.endswith(".json") or path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # a name too long to be a path, say
+        is_file = False
+    if spec.endswith(".json") or is_file:
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise NotAGroup(f"cannot read group file {spec!r}: {exc}") from exc
-        g = group_from_json(obj, max_order=max_order)
+        g = group_from_json(obj)
         if g.name == "G" or g.name.startswith("perm-group"):
             g.name = path.stem
         return g

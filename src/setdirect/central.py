@@ -31,7 +31,7 @@ from .groups import (
     mask_of,
 )
 
-DEFAULT_ENUMERATION_BOUND = 512
+ENUMERATION_BOUND = 512
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,15 @@ def central_subgroups(G: GroupTable):
     return _join_closure(G, (1 << z for z in bits(center(G).mask)))
 
 
-def enumerate_central_decompositions(
-    G: GroupTable, *, max_order: int = DEFAULT_ENUMERATION_BOUND
-):
+def enumerate_central_decompositions(G: GroupTable):
     """All unordered pairs of normal subgroups forming central products.
 
     Includes (G, Z) for every central subgroup Z.  Pairs are canonicalized
     with the larger factor first.
     """
-    if G.order > max_order:
+    if G.order > ENUMERATION_BOUND:
         raise OrderLimitExceeded(
-            f"decomposition enumeration bound {max_order} exceeded by {G.name}"
+            f"decomposition enumeration bound {ENUMERATION_BOUND} exceeded by {G.name}"
         )
     subs = normal_subgroups(G)
     out = []

@@ -17,7 +17,7 @@ from functools import cache
 from . import __version__
 from .catalog import catalog_group, catalog_names, load_group
 from .central import (
-    DEFAULT_ENUMERATION_BOUND,
+    ENUMERATION_BOUND,
     enumerate_central_decompositions,
     is_central_product,
     semi_regular_elements,
@@ -32,29 +32,13 @@ from .factor import (
     transversal_factorization,
     verify_main_theorem,
 )
-from .groups import DEFAULT_MAX_ORDER, GroupTable, Subset, center, conjugacy_classes
+from .groups import GroupTable, Subset, center, conjugacy_classes
 from .oracle import enumerate_setdirect, property_suite
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_BROKEN_PIPE = 141  # as a shell reports a process ended by SIGPIPE
-
-
-def _max_order(args) -> int:
-    env = os.environ.get("SETDIRECT_MAX_ORDER")
-    if args.max_order is not None:
-        return args.max_order
-    if not env:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(env)
-    except ValueError:
-        raise GroupError(f"SETDIRECT_MAX_ORDER must be an integer, got {env!r}")
-
-
-def _load(args) -> GroupTable:
-    return load_group(args.group, max_order=_max_order(args))
 
 
 def _needed(args, dest: str, option: str):
@@ -141,14 +125,10 @@ def factorization_json(G: GroupTable, f) -> dict:
 
 
 def cmd_info(args) -> int:
-    G = _load(args)
+    G = load_group(args.group)
     part = conjugacy_classes(G)
     zc = center(G)
-    decs = (
-        enumerate_central_decompositions(G)
-        if G.order <= DEFAULT_ENUMERATION_BOUND
-        else None
-    )
+    decs = enumerate_central_decompositions(G) if G.order <= ENUMERATION_BOUND else None
     semi = semi_regular_elements(G)
     info = {
         "name": G.name,
@@ -176,7 +156,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    G = _load(args)
+    G = load_group(args.group)
     X = parse_subset(G, args.x)
     Y = parse_subset(G, args.y)
     if args.direct:
@@ -212,7 +192,7 @@ def _emit_factorizations(G, facts, emit: str) -> None:
 
 
 def cmd_factorize(args) -> int:
-    G = _load(args)
+    G = load_group(args.group)
     method = args.method
 
     if method == "oracle":
@@ -349,14 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"setdirect {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def max_order(sp):
-        sp.add_argument("--max-order", type=int, default=None,
-                        help="order bound for group construction "
-                        "(env SETDIRECT_MAX_ORDER overrides the default)")
-
     sp = sub.add_parser("info", help="order, classes, center, semi-regular elements")
     sp.add_argument("group", help="catalog name or JSON group file")
-    max_order(sp)
     sp.add_argument("--json", action="store_true", help="JSON output")
     sp.set_defaults(func=cmd_info)
 
@@ -366,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("y")
     sp.add_argument("--direct", action="store_true",
                     help="check directness of XY only (XY need not cover G)")
-    max_order(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("factorize", help="enumerate or construct factorizations")
@@ -392,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="system method: semicolon-separated B_j subset specs")
     sp.add_argument("--choices", default=None,
                     help="system method: 'i1;i2|j1;j2' class indices per orbit")
-    max_order(sp)
     sp.add_argument("--time-budget-secs", type=float, default=60.0)
     sp.set_defaults(func=cmd_factorize)
 

@@ -32,7 +32,18 @@ from .errors import (
     internal_check,
 )
 
-DEFAULT_MAX_ORDER = 20000
+# The largest group order any factory builds.  A table of n elements has n^2
+# entries, and a build peaks at about 9 (S7 from permutations), 48 (catalog
+# cyclic) and 61 (JSON table, parsing included) bytes of RSS per entry: at
+# 6000, 1.7 GB for a catalog group and 2.1 GB for a JSON table.
+MAX_ORDER = 6000
+
+
+def check_order(n: int, what: str = "order") -> None:
+    """Raise OrderLimitExceeded if n is over MAX_ORDER.  Every factory calls
+    this before it allocates anything that grows with n."""
+    if n > MAX_ORDER:
+        raise OrderLimitExceeded(f"{what} {n} exceeds the order bound {MAX_ORDER}")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -181,7 +192,7 @@ class Subset:
         return self.mask != 0
 
     def __contains__(self, i: int) -> bool:
-        return bool((self.mask >> i) & 1)
+        return i >= 0 and bool((self.mask >> i) & 1)
 
     def __iter__(self) -> Iterator[int]:
         return bits(self.mask)
@@ -331,7 +342,7 @@ def _greedy_generators(rows, candidates: Iterable[int], reached: list) -> Iterat
 
 
 def _check_associative(a, rows: list, identity: int) -> None:
-    """Light's test on the table as an int64 array `a`.  S = {g : (xy)g =
+    """Light's test on the table as an integer array `a`.  S = {g : (xy)g =
     x(yg) for all x, y} is closed under products, so checking a generating
     set proves associativity at any order."""
     import numpy as np
@@ -364,9 +375,10 @@ def group_from_table(
     associativity (Light's test, at every order); labels, if given, are n
     strings.
     """
+    n = len(mult_table)
+    check_order(n)
     import numpy as np  # only tables need it; imported here to keep start-up fast
 
-    n = len(mult_table)
     if n == 0:
         raise NotAGroup("empty table")
     types = set()
@@ -376,7 +388,7 @@ def group_from_table(
         types.update(map(type, row))
     _check_integer_types(types, "a table entry")
     try:
-        a = np.asarray(mult_table, dtype=np.int64)
+        a = np.asarray(mult_table, dtype=np.int32)  # n <= MAX_ORDER fits
     except OverflowError:
         raise NotAGroup("table entries out of range 0..n-1") from None
     if a.min() < 0 or a.max() >= n:
@@ -400,7 +412,9 @@ def group_from_table(
     if len(bad):
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
 
-    rows = a.tolist()
+    # plain ints (a JSON table's) are kept as they are, in the tuples GroupTable
+    # keeps: a.tolist() would make n^2 new ints, and GroupTable a copy
+    rows = [tuple(row) for row in mult_table] if types == {int} else a.tolist()
     _check_associative(a, rows, identity)
 
     if labels is None:
@@ -433,7 +447,6 @@ def _cycle_label(perm: Sequence[int]) -> str:
 def group_from_permutations(
     generators: Sequence[Sequence[int]],
     *,
-    max_order: int = DEFAULT_MAX_ORDER,
     name: str = "perm-group",
 ) -> GroupTable:
     """Close a set of permutations of 0..d-1 under composition.
@@ -444,6 +457,9 @@ def group_from_permutations(
     right-multiplication by the generators, which also gives the table:
     element j is its parent p times a generator g, so row j is row p read
     through the left multiplication by g, an index list of n entries.
+    The closure stops once the order would pass MAX_ORDER, and a degree
+    over MAX_ORDER is refused, since the closure holds every element as d
+    points.
     """
     if not generators:
         raise EmptyGeneratingSet("need at least one generator")
@@ -455,6 +471,7 @@ def group_from_permutations(
             raise NotAGroup(f"generator {g!r} is not a sequence of integers") from None
         _check_integer_types(set(map(type, t)), f"an entry of generator {g!r}")
         d = len(gens[0]) if gens else len(t)
+        check_order(d, "degree")
         if len(t) != d or sorted(t) != list(range(d)):
             raise NotAGroup(f"generator {g!r} is not a permutation of 0..{d-1}")
         gens.append(tuple(map(int, t)))
@@ -469,10 +486,7 @@ def group_from_permutations(
         for k, g in enumerate(gens):
             q = tuple(map(p.__getitem__, g))  # p after g
             if q not in index:
-                if len(elems) >= max_order:
-                    raise OrderLimitExceeded(
-                        f"closure exceeds max order {max_order}"
-                    )
+                check_order(len(elems) + 1, "order at least")
                 index[q] = len(elems)
                 elems.append(q)
                 parent.append(i)
@@ -495,6 +509,7 @@ def direct_product(A: GroupTable, B: GroupTable, *, name: Optional[str] = None) 
     """External direct product with elements packed as a*|B| + b."""
     na, nb = A.order, B.order
     n = na * nb
+    check_order(n)
     mult = [[0] * n for _ in range(n)]
     for a1 in range(na):
         for b1 in range(nb):
@@ -538,8 +553,13 @@ def central_product_embedding(
     """
     if not pairing:
         raise NotIsomorphism("pairing must at least identify the identities")
+    if any(len(p) != 2 for p in pairing):
+        raise NotIsomorphism("each pairing entry is a pair (index in M, index in N)")
     zm = [p[0] for p in pairing]
     zn = [p[1] for p in pairing]
+    _check_integer_types(set(map(type, zm + zn)), "a pairing index")
+    if not all(0 <= a < M.order for a in zm) or not all(0 <= b < N.order for b in zn):
+        raise NotIsomorphism("a pairing index is out of range")
     if len(set(zm)) != len(zm) or len(set(zn)) != len(zn):
         raise NotIsomorphism("pairing components must be distinct")
     zmask = mask_of(zm)

@@ -26,8 +26,8 @@ the structural verifier.
 
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
-A run goes search, expand (full listing only), sort (chunks, then pairwise
-merges), listing, each phase under one deadline; the candidate volume and
+A run goes search, expand (full listing only), sort (chunks, then one merge
+in pieces), listing, each phase under one deadline; the candidate volume and
 the expansion have fixed caps.
 """
 
@@ -37,7 +37,8 @@ import gc
 import math
 import random
 import time
-from collections import Counter, deque
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -45,6 +46,7 @@ from typing import Optional
 
 from .central import class_stabilizer, minimal_normal_subgroups
 from .errors import (
+    GroupError,
     NotCentral,
     SearchSpaceTooLarge,
     TimeBudgetExceeded,
@@ -159,24 +161,35 @@ def _sorted(values, deadline: _Deadline) -> list:
 
     One sort of C45's 5.2 million pairs takes seconds with no deadline
     poll.  So a large input is sorted in chunks of _SORT_CHUNK values, and
-    the sorted runs are merged two at a time, oldest first, until one is
-    left; list.sort merges two presorted runs in one linear pass.  The
-    clock is read before each chunk and each merge.
+    the k sorted runs are merged in pieces of at most _SORT_CHUNK values:
+    each piece takes, from every run, its values up to a common pivot (found
+    by bisection), the least of the runs' values _SORT_CHUNK // k places on,
+    so at least one run moves that far; list.sort merges a piece's k
+    presorted runs in one pass.  The clock is read before each chunk and
+    each piece, and a run is freed as soon as it is used up.
     """
     if len(values) <= _SORT_CHUNK:
         return sorted(values)
     it = iter(values)
-    runs = deque()
+    live = []  # (run, index of its first value not yet merged)
     for _ in range(0, len(values), _SORT_CHUNK):
         deadline.check()
-        runs.append(sorted(islice(it, _SORT_CHUNK)))
-    while len(runs) > 1:
+        live.append((sorted(islice(it, _SORT_CHUNK)), 0))
+    step = max(1, _SORT_CHUNK // len(live))
+    out = []
+    while live:
         deadline.check()
-        run = runs.popleft()
-        run += runs.popleft()
-        run.sort()
-        runs.append(run)
-    return runs[0]
+        pivot = min(run[min(i + step, len(run)) - 1] for run, i in live)
+        piece, rest = [], []
+        for run, i in live:
+            end = bisect_right(run, pivot, i, min(i + step, len(run)))
+            piece += run[i:end]
+            if end < len(run):
+                rest.append((run, end))
+        piece.sort()
+        out += piece
+        live = rest
+    return out
 
 
 def _power_maps(G: GroupTable) -> list:
@@ -480,8 +493,11 @@ def enumerate_setdirect(
     TimeBudgetExceeded.phase names the phase it ran out in, and
     TimeBudgetExceeded.partial holds the normalized pairs found so far as
     `normalized`, and `total`/`nontrivial` summed over those pairs: lower
-    bounds of the exact counts.  Its list of factorizations is empty.
+    bounds of the exact counts.  Its list of factorizations is empty.  A
+    NaN or negative time_budget raises GroupError.
     """
+    if not time_budget >= 0:  # NaN fails every comparison
+        raise GroupError(f"time budget must be 0 seconds or more, got {time_budget!r}")
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
     found = _Found()

@@ -145,7 +145,7 @@ class TestEnumerateDecompositions:
 
     def test_order_bound(self):
         with pytest.raises(OrderLimitExceeded):
-            enumerate_central_decompositions(cyclic(5), max_order=4)
+            enumerate_central_decompositions(cyclic(513))
 
 
 class TestZOrbits:

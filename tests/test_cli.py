@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from setdirect.cli import build_parser, main, parse_subset
 from setdirect.catalog import catalog_group
 from setdirect.errors import GroupError
+from setdirect.groups import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -74,11 +75,23 @@ class TestInfo:
         assert code == 2
         assert "error" in err
 
-    def test_bad_max_order_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SETDIRECT_MAX_ORDER", "abc")
-        code, _, err = run(capsys, "info", "S4")
+    @pytest.mark.parametrize("name", ["C²", "C2xC²", "C" + "9" * 5000],
+                             ids=["C-superscript-2", "C2xC-superscript-2", "5000-digits"])
+    def test_non_ascii_digits_or_overlong_are_no_catalog_name(self, capsys, name):
+        code, _, err = run(capsys, "info", name)
         assert code == 2
-        assert "SETDIRECT_MAX_ORDER" in err and "Traceback" not in err
+        assert "neither a catalog name" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["C12000", "S9", "C100xC100"])
+    def test_over_the_order_bound_exit_2(self, capsys, name):
+        code, _, err = run(capsys, "info", name)
+        assert code == 2
+        assert "OrderLimitExceeded" in err and f"order bound {MAX_ORDER}" in err
+
+    def test_max_order_is_no_option_of_info(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["info", "C4", "--max-order", "100"])
+        assert info.value.code == 2
 
     def test_one_parser_keeps_no_state_between_calls(self, capsys):
         assert build_parser() is build_parser()
@@ -170,6 +183,18 @@ class TestVerify:
 
 
 class TestFactorize:
+    def test_negative_element_exit_2(self, capsys):
+        code, _, err = run(capsys, "factorize", "C4", "--method", "prime-power",
+                           "--element", "-1")
+        assert code == 2 and "NotSemiRegular" in err
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_nan_or_negative_budget_exit_2(self, capsys, budget):
+        code, _, err = run(capsys, "factorize", "C36", "--normalized",
+                           "--time-budget-secs", budget)
+        assert code == 2
+        assert "time budget must be" in err and "Traceback" not in err
+
     def test_prime_power_c4(self, capsys):
         code, out, _ = run(
             capsys, "factorize", "C4", "--method", "prime-power", "--element", "1"
@@ -398,4 +423,132 @@ def test_fuzz_table_files_exit_cleanly(spec):
 @given(spec=permutation_specs())
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_fuzz_permutation_files_exit_cleanly(spec):
+    _info_exit_clean(spec)
+
+
+# Group names of order 1-64 or over MAX_ORDER, so that no case builds a large
+# table; S and A are named by degree.
+ORDERS = st.integers(min_value=1, max_value=64) | st.integers(min_value=MAX_ORDER + 1,
+                                                              max_value=10**12)
+NAMED = ["C²", "C2xC²", "C12000", "S9", "Q8oC4", "D8oC4", "Q8oQ8", "C1xC9000"]
+GROUP_NAMES = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("CDQcdq"), ORDERS),
+    st.builds("{}{}".format, st.sampled_from("SAsa"),
+              st.integers(min_value=0, max_value=5) | st.integers(min_value=9)),
+    st.builds("C{}xC{}".format, st.integers(1, 8), st.integers(1, 8)),
+    st.sampled_from(NAMED),
+    st.text(max_size=6),
+)
+NUMBERS = st.sampled_from(["nan", "inf", "1e400", "x", "", "-1"]) | st.integers(-3, 70).map(str)
+SUBSETS = st.sampled_from(["full", "center", "identity", "z", "r", "s", "i", "bogus", ""]) | (
+    st.lists(st.integers(-2, 70), max_size=4).map(lambda xs: ",".join(map(str, xs))))
+OPTIONS = {
+    "--method": st.sampled_from(["oracle", "system", "transversal", "cyclic",
+                                 "prime-power", "bogus"]),
+    "--emit": st.sampled_from(["json", "csv", "xml"]),
+    "--element": NUMBERS, "--samples": NUMBERS, "--seed": NUMBERS,
+    "--max-order": NUMBERS,
+    # no "inf": a run without a finite budget may take minutes
+    "--time-budget-secs": st.sampled_from(["nan", "-1", "0", "0.1", "x", "-inf"]),
+    "--M": SUBSETS, "--N": SUBSETS, "--x0": SUBSETS, "--y0": SUBSETS,
+    "--A": st.lists(SUBSETS, min_size=1, max_size=3).map(";".join),
+    "--B": st.lists(SUBSETS, min_size=1, max_size=3).map(";".join),
+    "--choices": st.sampled_from(["0|0", "0;1|0", "1|", "|", "x|0", "-1|0"]),
+    "--json": None, "--direct": None, "--normalized": None, "--nontrivial": None,
+    "--verbose": None, "--all-catalog": None, "--version": None, "-h": None,
+}
+COMMAND_OPTIONS = {  # what each subcommand reads; any other option is a usage error
+    "info": ["--json"],
+    "verify": ["--direct"],
+    "factorize": ["--method", "--emit", "--element", "--time-budget-secs", "--M", "--N",
+                  "--x0", "--y0", "--A", "--B", "--choices", "--normalized",
+                  "--nontrivial"],
+    "suite": ["--samples", "--seed", "--max-order", "--time-budget-secs", "--verbose",
+              "--all-catalog"],
+}
+
+
+@st.composite
+def argv_lists(draw):
+    """A subcommand, a group name, the verify subsets, and mostly options the
+    subcommand reads, with values; now and then another option or a stray
+    token."""
+    command = draw(st.sampled_from([*COMMAND_OPTIONS, "", "bogus"]))
+    argv = [command, draw(GROUP_NAMES)]
+    if command == "verify":
+        argv += draw(st.lists(SUBSETS, min_size=0, max_size=3))
+    own = st.sampled_from(COMMAND_OPTIONS.get(command, ["--json"]))
+    for opt in draw(st.lists(own, max_size=4) | st.lists(st.sampled_from(sorted(OPTIONS)),
+                                                         max_size=2)):
+        argv.append(opt)
+        if OPTIONS[opt] is not None:
+            argv.append(draw(OPTIONS[opt]))
+    argv += draw(st.lists(st.text(max_size=3), max_size=1))
+    if "--all-catalog" in argv:  # the whole catalog is a run of minutes
+        argv += ["--max-order", "4"]
+    if "--time-budget-secs" not in argv and command in ("factorize", "suite"):
+        argv += ["--time-budget-secs", "0.1"]
+    return argv
+
+
+def _exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors, --help, --version
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@given(argv=argv_lists())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fuzz_argv_exits_cleanly(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+CATALOG_NAMES = GROUP_NAMES | ENTRIES
+
+
+@given(spec=st.fixed_dictionaries({"kind": st.just("catalog")},
+                                  optional={"name": CATALOG_NAMES}))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fuzz_catalog_files_exit_cleanly(spec):
+    _info_exit_clean(spec)
+
+
+# factors of order at most 8 or over MAX_ORDER: a product has order <= 64
+FACTOR_NAMES = st.sampled_from(
+    ["C1", "C2", "C3", "C4", "C6", "C8", "D4", "D6", "D8", "Q8", "S3", "A3",
+     "C2xC2", "C2xC4", "C6001", "C12000", "S9", "D12000", "C²"])
+PAIRINGS = st.sampled_from([[[0, 0]], [[0, 0], [2, 2]], [[0, 0], [1, 1]]]) | st.lists(
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9)), min_size=1, max_size=4)
+
+
+@st.composite
+def central_product_specs(draw):
+    """"central_product" specs: two catalog factors and a pairing of small
+    indices, or, now and then, one of the three keys missing or malformed."""
+    spec = {"kind": "central_product",
+            "left": {"kind": "catalog", "name": draw(FACTOR_NAMES)},
+            "right": {"kind": "catalog", "name": draw(FACTOR_NAMES)},
+            "pairing": draw(PAIRINGS)}
+    broken = draw(st.sampled_from([None, None, "left", "right", "pairing"]))
+    if broken:
+        junk = st.sampled_from(["absent", "bad-kind"]) | ENTRIES | st.lists(
+            ENTRIES | st.lists(ENTRIES, max_size=3), max_size=3)
+        value = draw(junk)
+        if value == "absent":
+            del spec[broken]
+        elif value == "bad-kind":
+            spec[broken] = {"kind": draw(ENTRIES)}
+        else:
+            spec[broken] = value
+    return spec
+
+
+@given(spec=central_product_specs())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_fuzz_central_product_files_exit_cleanly(spec):
     _info_exit_clean(spec)

@@ -1,6 +1,8 @@
 """Group construction, classes, centers, products, quotients."""
 
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from setdirect.catalog import (
     cyclic_product,
     dihedral,
     exponent_index,
+    group_from_json,
     quaternion,
     symmetric,
 )
@@ -27,12 +30,14 @@ from setdirect.errors import (
 )
 from setdirect.factor import SetDirectFactorization
 from setdirect.groups import (
+    MAX_ORDER,
     Subset,
     _closure_mask,
     center,
     central_product_embedding,
     commutator_set,
     conjugacy_classes,
+    direct_product,
     generated_subgroup,
     group_from_permutations,
     group_from_table,
@@ -192,8 +197,8 @@ class TestGroupFromPermutations:
         assert g.labels[0] == "()"
 
     def test_order_limit(self):
-        with pytest.raises(OrderLimitExceeded):
-            group_from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)], max_order=10)
+        with pytest.raises(OrderLimitExceeded):  # S8, of order 40 320
+            group_from_permutations([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
 
     def test_rejects_non_permutation(self):
         with pytest.raises(NotAGroup):
@@ -545,6 +550,59 @@ class TestSubgroupView:
         with pytest.raises(GroupError) as info:
             view.pull(g.subset([0, outside]))
         assert isinstance(info.value, ContainmentViolated)
+
+
+def _refused_peak_bytes(build, *args):
+    """Peak traced allocation of a build that must raise OrderLimitExceeded."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderLimitExceeded, match=f"order bound {MAX_ORDER}"):
+            build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOrderLimit:
+    """Each factory refuses an order just over MAX_ORDER before it builds a
+    table: the refusal allocates next to nothing."""
+
+    side = math.isqrt(MAX_ORDER) + 1  # side * side > MAX_ORDER
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (group_from_table, ([[0]] * (MAX_ORDER + 1),)),
+            (group_from_permutations, ([(1, 0, 2, 3, 4, 5, 6, 7),
+                                        (1, 2, 3, 4, 5, 6, 7, 0)],)),
+            (direct_product, (cyclic(side), cyclic(side))),
+            (cyclic, (MAX_ORDER + 1,)),
+            (dihedral, (MAX_ORDER + 2 - MAX_ORDER % 2,)),
+            (quaternion, (MAX_ORDER + 4 - MAX_ORDER % 4,)),
+            (cyclic_product, ([2, MAX_ORDER // 2 + 1],)),
+            (group_from_json, ({"kind": "central_product",
+                                "left": {"kind": "catalog", "name": "C100"},
+                                "right": {"kind": "catalog", "name": "C100"},
+                                "pairing": [[0, 0]]},)),
+        ],
+        ids=["table", "permutations", "direct-product", "cyclic", "dihedral",
+             "quaternion", "cyclic-product", "json-central-product-C100-C100"],
+    )
+    def test_refused_before_allocating(self, build, args):
+        catalog_group("C100")  # the cached factor is built outside the trace
+        assert _refused_peak_bytes(build, *args) < 10 * 2**20
+
+    def test_large_degree_is_refused(self):
+        with pytest.raises(OrderLimitExceeded, match="degree"):
+            group_from_permutations([list(range(MAX_ORDER, -1, -1))])
+        with pytest.raises(OrderLimitExceeded, match="degree"):
+            symmetric(10**9)
+
+    def test_symmetric_and_alternating_by_their_order(self):
+        with pytest.raises(OrderLimitExceeded, match="order 362880 "):
+            symmetric(9)
+        with pytest.raises(OrderLimitExceeded, match="order 181440 "):
+            alternating(9)
 
 
 class TestCatalog:

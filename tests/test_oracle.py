@@ -12,7 +12,7 @@ import types
 import pytest
 
 from setdirect.catalog import catalog_group, catalog_names, cyclic, quaternion, symmetric
-from setdirect.errors import SearchSpaceTooLarge, TimeBudgetExceeded
+from setdirect.errors import GroupError, SearchSpaceTooLarge, TimeBudgetExceeded
 from setdirect.groups import center, conjugacy_classes, generated_subgroup, set_product
 from setdirect import oracle
 from setdirect.oracle import (
@@ -364,6 +364,32 @@ class TestTimeBudget:
         with pytest.raises(oracle._OutOfTime):
             oracle._sorted(skewed, NoPoll(0.0))
         assert oracle._sorted(skewed, NoPoll(60.0)) == sorted(skewed)
+
+    def test_final_merge_reads_the_clock(self):
+        # Three chunks' values merge in pieces of at most one chunk each, so
+        # in three pieces at least, each after a clock read: a deadline that
+        # allows the three chunk sorts two reads more must stop the merge.
+        class Reads(oracle._Deadline):
+            def __init__(self, allowed):
+                super().__init__(60.0)
+                self.allowed = allowed
+
+            def check(self):
+                self.allowed -= 1
+                if self.allowed < 0:
+                    raise oracle._OutOfTime
+
+        values = random.Random(7).sample(range(1 << 40), 3 * oracle._SORT_CHUNK)
+        with pytest.raises(oracle._OutOfTime):
+            oracle._sorted(values, Reads(3 + 2))
+        assert oracle._sorted(values, Reads(100)) == sorted(values)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_budget_is_refused(self, budget):
+        with pytest.raises(GroupError, match="time budget must be") as info:
+            enumerate_setdirect(catalog_group("C36"), normalized_only=True,
+                                time_budget=budget)
+        assert not isinstance(info.value, TimeBudgetExceeded)
 
     def test_listing_restores_the_collector(self):
         g = catalog_group("C12")
