@@ -28,7 +28,8 @@ An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
 A run goes search, expand (full listing only), sort (chunks, then one merge
 in pieces), listing, each phase under one deadline; the candidate volume and
-the expansion have fixed caps.
+the expansion have fixed caps, and a search that would recurse past the
+interpreter's limit is refused before it starts.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from __future__ import annotations
 import gc
 import math
 import random
+import sys
 import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Optional
 
 from .central import class_stabilizer, minimal_normal_subgroups
@@ -86,6 +88,8 @@ class EnumerationResult:
 
 class _Deadline:
     def __init__(self, seconds: float):
+        if not seconds >= 0:  # NaN fails every comparison
+            raise GroupError(f"time budget must be 0 seconds or more, got {seconds!r}")
         self.t_end = time.perf_counter() + seconds
         self.calls = 0
 
@@ -192,12 +196,13 @@ def _sorted(values, deadline: _Deadline) -> list:
     return out
 
 
-def _power_maps(G: GroupTable) -> list:
+def _power_maps(G: GroupTable, deadline: _Deadline) -> list:
     """The maps x -> x^k of an abelian G, for k a unit modulo exp(G).
 
     Each map is a tuple s with s[x] = x^k, the identity map (k = 1) first;
     there are phi(exp G) of them and they form a group under composition.
-    Every map is checked on the whole table to be a bijective homomorphism.
+    Every map is checked on the whole table to be a bijective homomorphism,
+    each after a read of the deadline's clock.
     A non-abelian G gets none.
     """
     n, mult, one = G.order, G.mult, G.identity
@@ -215,6 +220,7 @@ def _power_maps(G: GroupTable) -> list:
     for k in range(1, exponent + 1):
         if math.gcd(k, exponent) != 1:
             continue
+        deadline.check()
         s = tuple(pw[k % len(pw)] for pw in powers)
         internal_check(len(set(s)) == n, f"x -> x^{k} is not a bijection")
         internal_check(
@@ -263,6 +269,16 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     k = len(part)
     n = G.order
     sizes = part.sizes()
+    # dfs takes one frame per class of Y, and X = {1} leaves Y = G: k frames
+    # on top of those in use, and a few more for the calls at a leaf
+    frame, depth = sys._getframe(), k + 10
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    if depth > sys.getrecursionlimit():
+        raise SearchSpaceTooLarge(
+            f"{G.name}: {k} classes take the search {depth} frames deep, past "
+            f"the recursion limit {sys.getrecursionlimit()}"
+        )
     id_class = part.class_of[G.identity]
     others = [c for c in range(k) if c != id_class]
     o_sizes = [sizes[c] for c in others]
@@ -281,7 +297,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     zc = center(G).mask
     pairs, weights = found.pairs, found.weights
     # None stands for the identity map; a non-abelian group gets no others
-    maps = (None, *(_byte_tables(s) for s in _power_maps(G)[1:]))
+    maps = [None]
+    for s in _power_maps(G, deadline)[1:]:
+        deadline.check()
+        maps.append(_byte_tables(s))
 
     def add(xm, ym, nontrivial):
         key = xm << n | ym if xm <= ym else ym << n | xm
@@ -477,8 +496,9 @@ def enumerate_setdirect(
     Every returned pair satisfies XY = G with unique representation.  The
     search accepts a group when its divisor-pruned candidate volume stays
     under a fixed cap (3 million), and a full listing when its |Z|^2 shifts
-    of the normalized pairs stay under another (2 million); past either it
-    raises SearchSpaceTooLarge.  It searches one small side X per orbit of
+    of the normalized pairs stay under another (2 million); past either, or
+    with more classes than the recursion limit leaves room for, it raises
+    SearchSpaceTooLarge.  It searches one small side X per orbit of
     the central shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian
     group, the power maps x -> x^k (k a unit modulo the exponent, each map
     checked on the table to be an automorphism), and adds the images
@@ -496,8 +516,6 @@ def enumerate_setdirect(
     bounds of the exact counts.  Its list of factorizations is empty.  A
     NaN or negative time_budget raises GroupError.
     """
-    if not time_budget >= 0:  # NaN fails every comparison
-        raise GroupError(f"time budget must be 0 seconds or more, got {time_budget!r}")
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
     found = _Found()
@@ -534,48 +552,40 @@ def enumerate_setdirect(
 def find_normal_transversal(G: GroupTable, Z: Subset) -> Optional[Subset]:
     """Search for a normal subset meeting every coset of Z exactly once.
 
-    Pure exact-cover over unions of conjugacy classes; independent of the
-    orbit machinery."""
+    Pure exact cover over unions of conjugacy classes, each class held as
+    the mask of the cosets it meets; independent of the orbit machinery.
+    The lowest uncovered coset picks the classes to try, in ascending order.
+    An explicit stack holds one iterator over them per class chosen, so the
+    search may take one level per coset without meeting the recursion limit."""
     if not _is_subgroup_mask(G, Z.mask) or Z.mask & ~center(G).mask:
         raise NotCentral("transversal search needs a central subgroup")
     part = conjugacy_classes(G)
     reps, coset_of = left_cosets(G, Z)
-    m = len(reps)
-    class_cosets = []
-    for cls in part.classes:
-        seen = set()
-        ok = True
-        for x in bits(cls.mask):
-            c = coset_of[x]
-            if c in seen:
-                ok = False
-                break
-            seen.add(c)
-        class_cosets.append(frozenset(seen) if ok else None)
+    full = (1 << len(reps)) - 1
+    by_coset = [[] for _ in reps]  # the classes meeting each coset once
+    class_cosets = []  # per class, the mask of its cosets if it meets each once
+    for i, cls in enumerate(part.classes):
+        cosets = [coset_of[x] for x in bits(cls.mask)]
+        mask = mask_of(cosets)
+        class_cosets.append(mask)
+        if mask.bit_count() == len(cosets):
+            for c in cosets:
+                by_coset[c].append(i)
 
-    usable = [i for i, s in enumerate(class_cosets) if s is not None]
-    by_coset = {c: [] for c in range(m)}
-    for i in usable:
-        for c in class_cosets[i]:
-            by_coset[c].append(i)
-
-    def dfs(covered, chosen):
-        if len(covered) == m:
-            return chosen
-        nxt = min(c for c in range(m) if c not in covered)
-        for i in by_coset[nxt]:
-            s = class_cosets[i]
-            if covered & s:
-                continue
-            got = dfs(covered | s, chosen + [i])
-            if got is not None:
-                return got
-        return None
-
-    got = dfs(frozenset(), [])
-    if got is None:
-        return None
-    return Subset(G, mask_of(x for i in got for x in bits(part.class_mask(i))))
+    covered, chosen, tries = 0, [], [iter(by_coset[0])]
+    while covered != full:
+        i = next((i for i in tries[-1] if not class_cosets[i] & covered), None)
+        if i is not None:
+            covered |= class_cosets[i]
+            chosen.append(i)
+            low = ~covered & full
+            tries.append(iter(by_coset[(low & -low).bit_length() - 1] if low else ()))
+        elif chosen:
+            tries.pop()
+            covered ^= class_cosets[chosen.pop()]
+        else:
+            return None
+    return Subset(G, mask_of(x for i in chosen for x in bits(part.class_mask(i))))
 
 
 # -- the cross-theorem property suite -----------------------------------------
@@ -616,131 +626,113 @@ def property_suite(
 ) -> SuiteReport:
     """Cross-check the structural results against enumeration and sampling.
 
-    Runs, over the oracle's factorization list and seeded random class
-    unions: directness-criteria agreement, centralization of direct pairs,
-    the intersection bound, central-pair existence, slice/coset structure,
-    verifier agreement, the association property, and (for groups with a
-    unique non-abelian minimal normal subgroup) non-directness of all
-    nontrivial class-pair products.
+    Runs, in this order, over the oracle's normalized pairs and seeded
+    random class unions: centralization of direct pairs, the intersection
+    bound, central-pair existence, verifier agreement with the slice/coset
+    structure, directness-criteria agreement, the association property, and
+    (for groups with a unique non-abelian minimal normal subgroup)
+    non-directness of all nontrivial class-pair products.
+
+    time_budget bounds the whole run: the oracle gets what is left of it,
+    and the clock is read before each case of a check (a pair, a sample, a
+    class pair).  On a time-out in a check TimeBudgetExceeded.phase is that
+    check's name and .partial a SuiteReport of the checks finished before
+    it; a time-out in the oracle propagates with the oracle's own phase.  A
+    NaN or negative time_budget raises GroupError.
     """
     start = time.perf_counter()
+    deadline = _Deadline(time_budget)
     rng = random.Random(seed)
     checks = []
     one = 1 << G.identity
-
-    result = enumerate_setdirect(
-        G, normalized_only=True, time_budget=time_budget
-    )
-    facts = result.factorizations
-
-    ok, detail = True, ""
-    for f in facts:
-        if commutator_set(G, f.x, f.y).mask != one:
-            ok, detail = False, f"[X,Y] != 1 for {f.x.members()} x {f.y.members()}"
-            break
-    checks.append(SuiteCheck("direct_pairs_centralize", ok, detail))
-
-    ok = all((f.x.mask & f.y.mask).bit_count() <= 1 for f in facts)
-    checks.append(SuiteCheck("intersection_at_most_one", ok))
-
     zc = center(G).mask
-    ok, detail = True, ""
-    for f in facts:
-        if not any(G.inv[z] in f.y for z in bits(zc & f.x.mask)):
-            ok, detail = False, f"no central pair for {f.x.members()}"
-            break
-    checks.append(SuiteCheck("central_pair_exists", ok, detail))
 
-    ok, detail = True, ""
-    for f in facts:
+    def first_failure(name, messages) -> str:
+        """The first non-empty message of `messages`, one per case of the
+        check `name`, or "" if none is; the clock is read before each case."""
+        try:
+            deadline.check()
+            for message in messages:
+                if message:
+                    return message
+                deadline.check()
+            return ""
+        except _OutOfTime:
+            pass  # raised below, so the exception keeps no case's frame as context
+        raise TimeBudgetExceeded(
+            f"time budget {time_budget}s exhausted on {G.name} in the {name} check",
+            partial=SuiteReport(G.name, checks, time.perf_counter() - start),
+            phase=name,
+        )
+
+    facts = enumerate_setdirect(
+        G, normalized_only=True, time_budget=max(0.0, deadline.t_end - time.perf_counter())
+    ).factorizations
+
+    def verifier_failure(f) -> str:
         report = verify_main_theorem(G, f.x, f.y)
         if not report.verdict:
-            ok, detail = False, f"verifier rejected {f.x.members()} x {f.y.members()}"
-            break
+            return f"verifier rejected {f.x.members()} x {f.y.members()}"
         for side, slices in (("Y", report.y_slices), ("X", report.x_slices)):
             for n_rep, sl in slices.items():
-                if not sl.mask:
-                    continue
-                stab = class_stabilizer(G, n_rep, report.z).mask
-                if _product_mask(G, sl.mask, stab) != sl.mask:
-                    ok, detail = False, f"{side}-slice at {n_rep} not a union of stabilizer cosets"
-                    break
-    checks.append(SuiteCheck("verifier_and_slice_structure", ok, detail))
+                if sl.mask and _product_mask(
+                        G, sl.mask, class_stabilizer(G, n_rep, report.z).mask) != sl.mask:
+                    return f"{side}-slice at {n_rep} not a union of stabilizer cosets"
+        return ""
 
-    ok, detail = True, ""
-    for _ in range(samples):
+    def sample_failure() -> str:
         X = _random_normal_subset(G, rng)
         Y = _random_normal_subset(G, rng)
-        rep = is_direct(G, X, Y)  # asserts the four criteria agree
-        if rep.verdict and commutator_set(G, X, Y).mask != one:
-            ok, detail = False, "direct sample does not centralize"
-            break
-    checks.append(SuiteCheck("criteria_agree_on_samples", ok, detail))
+        direct = is_direct(G, X, Y).verdict  # asserts the four criteria agree
+        if direct and commutator_set(G, X, Y).mask != one:
+            return "direct sample does not centralize"
+        return ""
 
-    ok, detail = True, ""
+    for name, messages in (
+        ("direct_pairs_centralize", (
+            "" if commutator_set(G, f.x, f.y).mask == one
+            else f"[X,Y] != 1 for {f.x.members()} x {f.y.members()}" for f in facts)),
+        ("intersection_at_most_one", (
+            "" if (f.x.mask & f.y.mask).bit_count() <= 1
+            else f"|X & Y| > 1 for {f.x.members()} x {f.y.members()}" for f in facts)),
+        ("central_pair_exists", (
+            "" if any(G.inv[z] in f.y for z in bits(zc & f.x.mask))
+            else f"no central pair for {f.x.members()}" for f in facts)),
+        ("verifier_and_slice_structure", map(verifier_failure, facts)),
+        ("criteria_agree_on_samples", (sample_failure() for _ in range(samples))),
+    ):
+        failure = first_failure(name, messages)
+        checks.append(SuiteCheck(name, not failure, failure))
+
     tried = 0
-    for _ in range(samples * 4):
-        if tried >= samples:
-            break
-        A = _random_normal_subset(G, rng)
-        B = _random_normal_subset(G, rng)
-        C = _random_normal_subset(G, rng)
-        ab = is_direct(G, A, B).verdict
-        if not ab:
-            continue
-        AB = Subset(G, _product_mask(G, A.mask, B.mask))
-        if not is_direct(G, AB, C).verdict:
-            continue
+
+    def association_failure() -> str:
+        nonlocal tried
+        A, B, C = (_random_normal_subset(G, rng) for _ in range(3))
+        if not (is_direct(G, A, B).verdict and is_direct(
+                G, Subset(G, _product_mask(G, A.mask, B.mask)), C).verdict):
+            return ""
         tried += 1
         BC = Subset(G, _product_mask(G, B.mask, C.mask))
-        if not (is_direct(G, B, C).verdict and is_direct(G, A, BC).verdict):
-            ok, detail = False, "association property failed"
-            break
-    checks.append(SuiteCheck("association", ok, f"{tried} triples"))
+        if is_direct(G, B, C).verdict and is_direct(G, A, BC).verdict:
+            return ""
+        return "association property failed"
+
+    attempts = takewhile(lambda _: tried < samples, range(samples * 4))
+    failure = first_failure("association", (association_failure() for _ in attempts))
+    checks.append(SuiteCheck("association", not failure, f"{tried} triples"))
 
     minimals = minimal_normal_subgroups(G)
     if len(minimals) == 1 and G.order > 1:
-        Nmin = minimals[0]
-        abelian = all(
-            G.mult[a][b] == G.mult[b][a]
-            for a in bits(Nmin.mask)
-            for b in bits(Nmin.mask)
-        )
+        abelian = commutator_set(G, minimals[0], minimals[0]).mask == one
         part = conjugacy_classes(G)
-        nontrivial_classes = [
-            i for i in range(len(part)) if part.class_mask(i) != one
-        ]
-        if not abelian:
-            ok, detail = True, ""
-            for i in nontrivial_classes:
-                for j in nontrivial_classes:
-                    ci = Subset(G, part.class_mask(i))
-                    cj = Subset(G, part.class_mask(j))
-                    if is_direct(G, ci, cj).verdict:
-                        ok, detail = False, f"direct class pair ({i},{j})"
-                        break
-                if not ok:
-                    break
-            checks.append(SuiteCheck("class_pairs_nondirect", ok, detail))
-        else:
-            witness = ""
-            for i in nontrivial_classes:
-                for j in nontrivial_classes:
-                    if i == j:
-                        continue
-                    ci = Subset(G, part.class_mask(i))
-                    cj = Subset(G, part.class_mask(j))
-                    if is_direct(G, ci, cj).verdict:
-                        witness = f"direct class pair ({i},{j})"
-                        break
-                if witness:
-                    break
-            checks.append(
-                SuiteCheck(
-                    "class_pairs_nondirect",
-                    True,
-                    f"skipped: abelian minimal normal subgroup; {witness}",
-                )
-            )
+        nontrivial = [(i, Subset(G, part.class_mask(i)))
+                      for i in range(len(part)) if part.class_mask(i) != one]
+        witness = first_failure("class_pairs_nondirect", (
+            f"direct class pair ({i},{j})" if is_direct(G, ci, cj).verdict else ""
+            for i, ci in nontrivial for j, cj in nontrivial if i != j or not abelian))
+        checks.append(SuiteCheck(
+            "class_pairs_nondirect", abelian or not witness,
+            f"skipped: abelian minimal normal subgroup; {witness}" if abelian else witness))
 
     return SuiteReport(G.name, checks, time.perf_counter() - start)

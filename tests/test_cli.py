@@ -7,15 +7,18 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from setdirect.cli import build_parser, main, parse_subset
 from setdirect.catalog import catalog_group
 from setdirect.errors import GroupError
 from setdirect.groups import MAX_ORDER
+
+from helpers import BUDGET_MARGIN_S
 
 
 def run(capsys, *argv):
@@ -278,6 +281,19 @@ class TestSuite:
         assert code == 0
         assert "D10" in out and "pass" in out
 
+    def test_time_budget_bounds_the_samples(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "suite", "C4", "--samples", "100000000000000",
+                           "--time-budget-secs", "0.5")
+        assert time.perf_counter() - t0 <= 0.5 + BUDGET_MARGIN_S
+        assert code == 0
+        assert "SKIP" in out and "criteria_agree_on_samples" in out
+
+    def test_nan_budget_exit_2(self, capsys):
+        code, _, err = run(capsys, "suite", "C4", "--time-budget-secs", "nan")
+        assert code == 2
+        assert "time budget must be" in err and "Traceback" not in err
+
     def test_all_catalog_tiny(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--all-catalog", "--max-order", "8", "--samples", "10"
@@ -446,7 +462,9 @@ OPTIONS = {
     "--method": st.sampled_from(["oracle", "system", "transversal", "cyclic",
                                  "prime-power", "bogus"]),
     "--emit": st.sampled_from(["json", "csv", "xml"]),
-    "--element": NUMBERS, "--samples": NUMBERS, "--seed": NUMBERS,
+    "--element": NUMBERS, "--seed": NUMBERS,
+    # the time budget bounds the whole suite, however many samples it is given
+    "--samples": NUMBERS | st.integers(0, 10**14).map(str),
     "--max-order": NUMBERS,
     # no "inf": a run without a finite budget may take minutes
     "--time-budget-secs": st.sampled_from(["nan", "-1", "0", "0.1", "x", "-inf"]),
@@ -503,6 +521,7 @@ def _exit_code(argv) -> int:
 
 
 @given(argv=argv_lists())
+@example(argv=["suite", "C4", "--samples", str(10**14), "--time-budget-secs", "0.1"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_fuzz_argv_exits_cleanly(argv):
     assert _exit_code(argv) in (0, 1, 2)

@@ -21,7 +21,13 @@ from setdirect.oracle import (
     property_suite,
 )
 
-from helpers import naive_factorizations, naive_is_direct, relabelled, translate_orbit_counts
+from helpers import (
+    BUDGET_MARGIN_S,
+    naive_factorizations,
+    naive_is_direct,
+    relabelled,
+    translate_orbit_counts,
+)
 
 
 SMALL_GROUPS = ["C4", "C6", "C8", "C12", "S3", "S4", "D8", "D10", "D12", "Q8",
@@ -92,11 +98,6 @@ ORBIT_COUNT_GROUPS = [
     n for n in catalog_names() if catalog_group(n).order <= 24
 ] + ["C30", "C3xC3xC2"]
 
-# Largest time past its budget that a budgeted run may take, in seconds.
-# Twelve runs each of C40 and C34 on a 2 s budget (2-vCPU shared host) ended
-# at most 0.01 s past it.
-BUDGET_MARGIN_S = 1.0
-
 
 class TestShiftOrbitCounts:
     @pytest.mark.parametrize("name", ORBIT_COUNT_GROUPS)
@@ -134,7 +135,7 @@ class TestPowerMapOrbits:
     @pytest.mark.parametrize("name", SMALL_CATALOG)
     def test_power_maps_are_automorphisms(self, name):
         g = catalog_group(name)
-        maps = oracle._power_maps(g)
+        maps = oracle._power_maps(g, oracle._Deadline(60.0))
         if not g.is_abelian:
             assert maps == []
             return
@@ -391,6 +392,20 @@ class TestTimeBudget:
                                 time_budget=budget)
         assert not isinstance(info.value, TimeBudgetExceeded)
 
+    def test_power_map_checks_read_the_clock(self):
+        # 502 maps, each checked on all 253 009 entries of the table
+        g = cyclic(503)
+        t0 = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded) as info:
+            enumerate_setdirect(g, normalized_only=True, time_budget=1.0)
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert info.value.phase == "search"
+
+    def test_search_deeper_than_the_stack_is_refused(self):
+        # X = {1} leaves Y = G, one recursion level per class: 997 of them
+        with pytest.raises(SearchSpaceTooLarge, match="recursion limit"):
+            enumerate_setdirect(cyclic(997), normalized_only=True, time_budget=20.0)
+
     def test_listing_restores_the_collector(self):
         g = catalog_group("C12")
         assert gc.isenabled()
@@ -463,6 +478,18 @@ class TestTransversalSearch:
         t = find_normal_transversal(g, g.identity_subset())
         assert t is not None and t.mask == g.full_mask
 
+    def test_more_cosets_than_the_recursion_limit(self):
+        g = cyclic(1100)
+        t = find_normal_transversal(g, g.identity_subset())
+        assert t is not None and t.mask == g.full_mask
+
+
+SUITE_CHECKS = [
+    "direct_pairs_centralize", "intersection_at_most_one", "central_pair_exists",
+    "verifier_and_slice_structure", "criteria_agree_on_samples", "association",
+    "class_pairs_nondirect",
+]
+
 
 class TestPropertySuite:
     @pytest.mark.parametrize("name", ["D10", "A5", "C12", "S4", "Q8oC4"])
@@ -480,3 +507,48 @@ class TestPropertySuite:
         check = next(c for c in rep.checks if c.name == "class_pairs_nondirect")
         assert check.passed
         assert "direct class pair" in check.detail
+
+    def test_budget_bounds_the_whole_run(self):
+        # the oracle takes about 0.4 s of the second; verifying its 41 611
+        # pairs one by one takes about 20 s
+        g = catalog_group("C30")
+        t0 = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded) as info:
+            property_suite(g, samples=120, time_budget=1.0)
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert info.value.phase in SUITE_CHECKS
+        assert info.value.phase in str(info.value)
+        done = [c.name for c in info.value.partial.checks]
+        assert done == SUITE_CHECKS[:SUITE_CHECKS.index(info.value.phase)]
+        assert info.value.partial.passed
+
+    def test_huge_sample_count_ends_in_its_check(self):
+        t0 = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded) as info:
+            property_suite(cyclic(4), samples=10**14, time_budget=0.1)
+        assert time.perf_counter() - t0 <= 0.1 + BUDGET_MARGIN_S
+        assert info.value.phase == "criteria_agree_on_samples"
+        assert len(info.value.partial.checks) == 4
+
+    def test_oracle_time_out_keeps_its_phase(self):
+        with pytest.raises(TimeBudgetExceeded) as info:
+            property_suite(catalog_group("C36"), time_budget=0.0)
+        assert info.value.phase == "search"
+        assert isinstance(info.value.partial, oracle.EnumerationResult)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_nan_or_negative_budget_is_refused(self, budget):
+        with pytest.raises(GroupError, match="time budget must be") as info:
+            property_suite(catalog_group("C4"), time_budget=budget)
+        assert not isinstance(info.value, TimeBudgetExceeded)
+
+    def test_a_failing_check_reports_its_first_failure(self, monkeypatch):
+        def rejecting(G, X, Y):
+            return types.SimpleNamespace(verdict=False)
+
+        monkeypatch.setattr(oracle, "verify_main_theorem", rejecting)
+        rep = property_suite(cyclic(4), samples=5)
+        assert [c.name for c in rep.checks] == SUITE_CHECKS
+        failed = [c for c in rep.checks if not c.passed]
+        assert [c.name for c in failed] == ["verifier_and_slice_structure"]
+        assert failed[0].detail == "verifier rejected (0,) x (0, 1, 2, 3)"  # the first pair
