@@ -140,30 +140,23 @@ def exponent_index(orders: Sequence[int], exps: Sequence[int]) -> int:
     return x
 
 
-def _q8oc4():
-    q8, c4 = quaternion(8), cyclic(4)
-    # identify -1 in Q8 with z^2 in C4
-    return central_product_embedding(q8, c4, [(0, 0), (2, 2)], name="Q8oC4")
-
-
-def _q8oq8():
-    a, b = quaternion(8), quaternion(8)
-    return central_product_embedding(a, b, [(0, 0), (2, 2)], name="Q8oQ8")
-
-
-def _d8oc4():
-    d8, c4 = dihedral(8), cyclic(4)
-    # Z(D8) = {1, r^2}; r^2 has index 2, as does z^2 in C4
-    return central_product_embedding(d8, c4, [(0, 0), (2, 2)], name="D8oC4")
-
-
-_CENTRAL_PRODUCTS = {"q8oc4": _q8oc4, "q8oq8": _q8oq8, "d8oc4": _d8oc4}
+# The catalog central products by their two factors.  Each pairing
+# [(0, 0), (2, 2)] glues the identities and the central involutions of index
+# 2: -1 in Q8, r^2 in D8 (Z(D8) = {1, r^2}) and z^2 in C4.
+_CENTRAL_FACTORS = {
+    "Q8oC4": ((quaternion, 8), (cyclic, 4)),
+    "Q8oQ8": ((quaternion, 8), (quaternion, 8)),
+    "D8oC4": ((dihedral, 8), (cyclic, 4)),
+}
+_CENTRAL_PRODUCTS = {name.lower(): name for name in _CENTRAL_FACTORS}
 
 
 @lru_cache(maxsize=None)
 def central_product_entry(name: str):
     """Catalog central products with their canonical factor images."""
-    return _CENTRAL_PRODUCTS[name.lower()]()
+    name = _CENTRAL_PRODUCTS[name.lower()]
+    (left, a), (right, b) = _CENTRAL_FACTORS[name]
+    return central_product_embedding(left(a), right(b), [(0, 0), (2, 2)], name=name)
 
 
 def catalog_names() -> tuple:

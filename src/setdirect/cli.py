@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from functools import cache
 
 from . import __version__
@@ -22,7 +23,7 @@ from .central import (
     is_central_product,
     semi_regular_elements,
 )
-from .errors import GroupError, SearchSpaceTooLarge
+from .errors import GroupError, SearchSpaceTooLarge, TimeBudgetExceeded
 from .factor import (
     construct_from_system,
     cyclic_center_factorization,
@@ -168,7 +169,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
-def _emit_factorizations(G, facts, emit: str) -> None:
+def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> None:
+    """Print facts as CSV, or as JSON with a verifier report per pair, all
+    built before anything is printed: before_report runs before each one,
+    and an error it raises leaves stdout empty."""
     if emit == "csv":
         part = conjugacy_classes(G)
         print("size_x,size_y,normalized,nontrivial,class_signature")
@@ -188,7 +192,11 @@ def _emit_factorizations(G, facts, emit: str) -> None:
                 f"{int(f.is_nontrivial())},{sig_x}|{sig_y}"
             )
     else:
-        print(json.dumps([factorization_json(G, f) for f in facts], indent=2))
+        reports = []
+        for f in facts:
+            before_report()
+            reports.append(factorization_json(G, f))
+        print(json.dumps(reports, indent=2))
 
 
 def cmd_factorize(args) -> int:
@@ -196,13 +204,22 @@ def cmd_factorize(args) -> int:
     method = args.method
 
     if method == "oracle":
+        budget = args.time_budget_secs  # the oracle refuses a NaN or negative one
+        t_end = time.perf_counter() + budget
         result = enumerate_setdirect(
             G,
             normalized_only=args.normalized,
             nontrivial_only=args.nontrivial,
-            time_budget=args.time_budget_secs,
+            time_budget=budget,
         )
-        _emit_factorizations(G, result.factorizations, args.emit)
+
+        def check_time():  # the verifier reports get what is left of the budget
+            if time.perf_counter() > t_end:
+                raise TimeBudgetExceeded(
+                    f"time budget {budget}s exhausted on {G.name} in the report phase",
+                    partial=result, phase="report")
+
+        _emit_factorizations(G, result.factorizations, args.emit, check_time)
         print(
             f"counts: total={result.total} nontrivial={result.nontrivial} "
             f"normalized={result.normalized} elapsed={result.elapsed:.3f}s",
@@ -277,16 +294,15 @@ def cmd_factorize(args) -> int:
 
 def cmd_suite(args) -> int:
     if args.all_catalog:
-        names = [
-            n
-            for n in catalog_names()
-            if catalog_group(n).order <= args.max_order_filter
-        ]
+        groups = [G for G in map(catalog_group, catalog_names())
+                  if G.order <= args.max_order_filter]
+    elif args.group:
+        groups = [load_group(args.group)]
     else:
-        names = [args.group]
+        print("suite: give a group or --all-catalog", file=sys.stderr)
+        return EXIT_ERROR
     failures = 0
-    for name in names:
-        G = load_group(name) if not args.all_catalog else catalog_group(name)
+    for G in groups:
         try:
             rep = property_suite(G, samples=args.samples, seed=args.seed,
                                  time_budget=args.time_budget_secs)
@@ -384,9 +400,6 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "suite" and not args.all_catalog and not args.group:
-        print("suite: give a group or --all-catalog", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except GroupError as exc:

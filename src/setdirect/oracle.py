@@ -4,10 +4,11 @@ enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
 an exact-cover search.  The small sides X come as union masks, in the
-lexicographic order of their classes; the cover of G by products X·c keeps,
-per X, one column per element g (the classes c with g in X·c and X·c
-direct), built the first time g is the lowest uncovered element.  Each
-small side X found stands for an orbit:
+lexicographic order of their classes; the cover of G by products X·c is one
+loop over a stack of states (elements covered, Y so far) and keeps, per X,
+one column per element g (the classes c with g in X·c and X·c direct),
+built the first time g is the lowest uncovered element.  Each small side X
+found stands for an orbit:
 - central shifts: for z^-1 in X∩Z, zX is normalized and has the same
   complements Y as X (zX·Y = zG = G, with unique representation);
 - power maps: on an abelian group the maps x -> x^k, k a unit modulo the
@@ -27,9 +28,9 @@ the structural verifier.
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
 A run goes search, expand (full listing only), sort (chunks, then one merge
-in pieces), listing, each phase under one deadline; the candidate volume and
-the expansion have fixed caps, and a search that would recurse past the
-interpreter's limit is refused before it starts.
+in pieces), listing, each phase under one deadline, which the search polls
+once per candidate X and once per exact-cover state; the candidate volume
+and the expansion have fixed caps.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import gc
 import math
 import random
-import sys
 import time
 from bisect import bisect_right
 from collections import Counter
@@ -258,27 +258,19 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     """Put every unordered normalized factorization pair, packed, into `found`.
 
     Each candidate X (a union of classes holding the identity) whose
-    orbit no earlier X covers is completed by Knuth's exact cover: the
-    lowest uncovered element g picks the column of classes c to try, in
-    ascending order.  A column is cached per X, so a node reads it rather
-    than rebuilding it from the products X·c.  Pairs go in as the search
-    meets them, so a caller that catches _OutOfTime still holds every pair
-    found before the deadline.
+    orbit no earlier X covers is completed by Knuth's exact cover, one
+    loop over a stack of states (elements covered, Y so far): the lowest
+    uncovered element g of a popped state picks the column of classes c,
+    and each c whose product X·c misses the covered elements is pushed.  A
+    column is cached per X, so a node reads it rather than rebuilding it
+    from the products X·c.  Pairs go in as the search meets them, so a
+    caller that catches _OutOfTime still holds every pair found before the
+    deadline.
     """
     part = conjugacy_classes(G)
     k = len(part)
     n = G.order
     sizes = part.sizes()
-    # dfs takes one frame per class of Y, and X = {1} leaves Y = G: k frames
-    # on top of those in use, and a few more for the calls at a leaf
-    frame, depth = sys._getframe(), k + 10
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    if depth > sys.getrecursionlimit():
-        raise SearchSpaceTooLarge(
-            f"{G.name}: {k} classes take the search {depth} frames deep, past "
-            f"the recursion limit {sys.getrecursionlimit()}"
-        )
     id_class = part.class_of[G.identity]
     others = [c for c in range(k) if c != id_class]
     o_sizes = [sizes[c] for c in others]
@@ -364,40 +356,35 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                     xc_cache[c] = m
                 return m
 
-            columns = [None] * n  # column g: (|c|, X * c, c) per usable class c
-
-            def dfs(covered, size_left, ymask):
+            # Each X * c in a column is direct, so it has d |c| elements and
+            # a disjoint one always fits: a cover is complete when it is full.
+            columns = [None] * n  # column g: (X * c, c) per usable class c
+            # Y is normalized too: it must contain the identity class.
+            init = x_times(id_class)
+            stack = [(init, id_mask)] if init != -1 else []
+            while stack:
                 poll()
-                if size_left == 0:
-                    internal_check(covered == full, "cover completed but not full")
+                covered, ymask = stack.pop()
+                if covered == full:
+                    internal_check(ymask.bit_count() * d == n, "full cover with |X||Y| != |G|")
                     add(xmask, ymask, nontrivial)
                     for tables, sxs in images:
                         sy = ymask if tables is None else _map_mask(tables, ymask)
                         for sx in sxs:
                             add(sx, sy, nontrivial)
-                    return
+                    continue
                 low = ~covered & full
                 g = (low & -low).bit_length() - 1
                 col = columns[g]
                 if col is None:
                     col = columns[g] = [
-                        (sizes[c], pm, cmasks[c])
+                        (pm, cmasks[c])
                         for c in sorted({class_of[mult[xi][g]] for xi in x_inv})
                         if (pm := x_times(c)) != -1
                     ]
-                for size, pm, cm in col:
-                    if size <= size_left and not pm & covered:
-                        dfs(covered | pm, size_left - size, ymask | cm)
-
-            # Y is normalized too: it must contain the identity class.
-            init = x_times(id_class)
-            try:
-                if init != -1:
-                    dfs(init, e - sizes[id_class], id_mask)
-            finally:
-                # dfs refers to itself: break that cycle here, on a time-out
-                # too, so that no later collection has to free the search
-                del dfs
+                for pm, cm in col:
+                    if not pm & covered:
+                        stack.append((covered | pm, ymask | cm))
         del covered_x  # a later split has another |X|, so none of it recurs
 
 
@@ -496,13 +483,14 @@ def enumerate_setdirect(
     Every returned pair satisfies XY = G with unique representation.  The
     search accepts a group when its divisor-pruned candidate volume stays
     under a fixed cap (3 million), and a full listing when its |Z|^2 shifts
-    of the normalized pairs stay under another (2 million); past either, or
-    with more classes than the recursion limit leaves room for, it raises
-    SearchSpaceTooLarge.  It searches one small side X per orbit of
-    the central shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian
-    group, the power maps x -> x^k (k a unit modulo the exponent, each map
-    checked on the table to be an automorphism), and adds the images
-    (zX, Y) and (s(zX), sY) of every pair (X, Y) it finds.  Counts (total,
+    of the normalized pairs stay under another (2 million); past either it
+    raises SearchSpaceTooLarge.  The exact cover is a loop over an explicit
+    stack, so no number of classes meets the recursion limit.  It searches
+    one small side X per orbit of the central shifts X -> zX (z^-1 in X∩Z)
+    composed with, on an abelian group, the power maps x -> x^k (k a unit
+    modulo the exponent, each map checked on the table to be an
+    automorphism), and adds the images (zX, Y) and (s(zX), sY) of every
+    pair (X, Y) it finds.  Counts (total,
     nontrivial, normalized) are always exact; the returned list is either
     all pairs or, with normalized_only, one normalized pair per entry, in
     ascending order of (min mask, max mask) either way.
@@ -554,9 +542,10 @@ def find_normal_transversal(G: GroupTable, Z: Subset) -> Optional[Subset]:
 
     Pure exact cover over unions of conjugacy classes, each class held as
     the mask of the cosets it meets; independent of the orbit machinery.
-    The lowest uncovered coset picks the classes to try, in ascending order.
-    An explicit stack holds one iterator over them per class chosen, so the
-    search may take one level per coset without meeting the recursion limit."""
+    One loop over a stack of states (cosets covered, the union so far): the
+    lowest uncovered coset of a popped state picks the classes to try, and
+    those that miss the covered cosets are pushed in descending order, so
+    they are tried in ascending order."""
     if not _is_subgroup_mask(G, Z.mask) or Z.mask & ~center(G).mask:
         raise NotCentral("transversal search needs a central subgroup")
     part = conjugacy_classes(G)
@@ -572,20 +561,16 @@ def find_normal_transversal(G: GroupTable, Z: Subset) -> Optional[Subset]:
             for c in cosets:
                 by_coset[c].append(i)
 
-    covered, chosen, tries = 0, [], [iter(by_coset[0])]
-    while covered != full:
-        i = next((i for i in tries[-1] if not class_cosets[i] & covered), None)
-        if i is not None:
-            covered |= class_cosets[i]
-            chosen.append(i)
-            low = ~covered & full
-            tries.append(iter(by_coset[(low & -low).bit_length() - 1] if low else ()))
-        elif chosen:
-            tries.pop()
-            covered ^= class_cosets[chosen.pop()]
-        else:
-            return None
-    return Subset(G, mask_of(x for i in chosen for x in bits(part.class_mask(i))))
+    stack = [(0, 0)]
+    while stack:
+        covered, tmask = stack.pop()
+        if covered == full:
+            return Subset(G, tmask)
+        low = ~covered & full
+        for i in reversed(by_coset[(low & -low).bit_length() - 1]):
+            if not class_cosets[i] & covered:
+                stack.append((covered | class_cosets[i], tmask | part.class_mask(i)))
+    return None
 
 
 # -- the cross-theorem property suite -----------------------------------------

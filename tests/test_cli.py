@@ -250,6 +250,14 @@ class TestFactorize:
         d = json.loads(out)
         assert d[0]["certified"]
 
+    def test_time_budget_bounds_the_reports(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "factorize", "C30", "--method", "oracle",
+                             "--normalized", "--time-budget-secs", "1")
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert code == 2 and out == ""
+        assert "TimeBudgetExceeded" in err and "in the report phase" in err
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -288,6 +296,11 @@ class TestSuite:
         assert time.perf_counter() - t0 <= 0.5 + BUDGET_MARGIN_S
         assert code == 0
         assert "SKIP" in out and "criteria_agree_on_samples" in out
+
+    def test_suite_without_a_group_exit_2(self, capsys):
+        code, out, err = run(capsys, "suite", "--samples", "10")
+        assert code == 2 and out == ""
+        assert "give a group or --all-catalog" in err
 
     def test_nan_budget_exit_2(self, capsys):
         code, _, err = run(capsys, "suite", "C4", "--time-budget-secs", "nan")

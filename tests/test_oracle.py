@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 import types
 
@@ -298,15 +299,6 @@ class TestTimeBudget:
         assert partial.nontrivial <= partial.total
         assert partial.factorizations == []
         _assert_no_search_frames(info.value)
-        del info
-        # the search's self-referencing DFS closures went with the time-out,
-        # so no collection has to walk the partial pairs to free them
-        assert not [
-            f
-            for f in gc.get_objects()
-            if isinstance(f, types.FunctionType)
-            and f.__qualname__ == "_normalized_pairs.<locals>.dfs"
-        ]
 
     def test_timeout_in_the_listing_keeps_no_search_frames(self, monkeypatch):
         g = catalog_group("C24")
@@ -401,10 +393,27 @@ class TestTimeBudget:
         assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
         assert info.value.phase == "search"
 
-    def test_search_deeper_than_the_stack_is_refused(self):
-        # X = {1} leaves Y = G, one recursion level per class: 997 of them
-        with pytest.raises(SearchSpaceTooLarge, match="recursion limit"):
-            enumerate_setdirect(cyclic(997), normalized_only=True, time_budget=20.0)
+    def test_search_deeper_than_the_stack_reads_the_clock(self):
+        # X = {1} leaves Y = G, a cover 997 classes deep
+        g = cyclic(997)
+        t0 = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded) as info:
+            enumerate_setdirect(g, normalized_only=True, time_budget=1.0)
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert info.value.phase == "search"
+
+    def test_search_does_not_recurse(self):
+        g = catalog_group("C30")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            res = enumerate_setdirect(g, normalized_only=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.total, res.nontrivial, res.normalized) == (1248330, 1248300, 41611)
 
     def test_listing_restores_the_collector(self):
         g = catalog_group("C12")
@@ -482,6 +491,24 @@ class TestTransversalSearch:
         g = cyclic(1100)
         t = find_normal_transversal(g, g.identity_subset())
         assert t is not None and t.mask == g.full_mask
+
+    def test_normal_transversals_are_pinned(self):
+        # the first transversal in the search order, for every central
+        # subgroup of every catalog group of order <= 48: 310 cases
+        from setdirect.central import central_subgroups
+
+        digest, cases = hashlib.sha256(), 0
+        for name in catalog_names():
+            g = catalog_group(name)
+            if g.order > 48:
+                continue
+            for z in central_subgroups(g):
+                t = find_normal_transversal(g, z)
+                digest.update(f"{name},{z.mask},{None if t is None else t.mask}\n".encode())
+                cases += 1
+        assert cases == 310
+        assert digest.hexdigest() == (
+            "27dd61fcf26f47c56e3f54f0a300cfc53a2d92ccb2b906547b6cf20df10e83fa")
 
 
 SUITE_CHECKS = [
