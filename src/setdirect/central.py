@@ -20,6 +20,7 @@ from .groups import (
     GroupTable,
     Subset,
     _closure_mask,
+    _generators,
     _is_subgroup_mask,
     _product_mask,
     _quotient,
@@ -104,13 +105,20 @@ def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck
 
 
 def _certify_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck:
+    """The three checks of a central product, in order, for subgroups M, N.
+
+    MN = G by the product formula |MN| = |M||N| / |M intersect N|: O(1),
+    not |M||N| products.  M and N centralize each other iff their greedy
+    generators commute pairwise, as the centralizer of a set is a subgroup.
+    """
     fail = lambda reason: CentralProductCheck(None, reason)
-    if _product_mask(G, M.mask, N.mask) != G.full_mask:
-        return fail("ProductNotG")
     zmask = M.mask & N.mask
+    if M.mask.bit_count() * N.mask.bit_count() != G.order * zmask.bit_count():
+        return fail("ProductNotG")
     if zmask & ~center(G).mask:
         return fail("IntersectionNotCentral")
-    if commutator_set(G, M, N).mask != 1 << G.identity:
+    mult, n_gens = G.mult, _generators(G, N.mask)[0]
+    if any(mult[a][b] != mult[b][a] for a in _generators(G, M.mask)[0] for b in n_gens):
         return fail("NotCentralizing")
     return CentralProductCheck(CentralDecomposition(M, N, Subset(G, zmask)), None)
 
@@ -243,7 +251,8 @@ def _z_orbits(G: GroupTable, nmask: int, zmask: int) -> ZActionData:
     for start in inside:
         if start in seen:
             continue
-        rep = part.classes[start].members()[0]
+        cmask = part.class_mask(start)
+        rep = (cmask & -cmask).bit_length() - 1
         orbit = set()
         stab = 0
         for z in zmem:
@@ -286,7 +295,9 @@ def z_bracket(G: GroupTable, K: Subset, Z: Subset):
 
     When K is complemented by its centralizer (K * C_G(K) = G, the central
     product situation) the set is cross-checked against the union of the
-    orbit stabilizers of the Z-action on the classes inside K.
+    orbit stabilizers of the Z-action on the classes inside K.  C_G(K) is
+    the set of elements commuting with K's greedy generators, n |gens K|
+    lookups, and K * C_G(K) = G is read from the product formula.
     """
     _require_central_subgroup(G, Z)
     if not _is_subgroup_mask(G, K.mask):
@@ -295,12 +306,10 @@ def z_bracket(G: GroupTable, K: Subset, Z: Subset):
         raise NotSubgroup("bracket set needs a normal subgroup")
     bracket = commutator_set(G, K, K).mask & Z.mask
     generated = _closure_mask(G, bracket | (1 << G.identity))
-    cent = mask_of(
-        g
-        for g in G.elements()
-        if all(G.mult[g][k] == G.mult[k][g] for k in bits(K.mask))
-    )
-    if _product_mask(G, K.mask, cent) == G.full_mask and Z.mask & ~K.mask == 0:
+    mult, gens = G.mult, _generators(G, K.mask)[0]
+    cent = mask_of(g for g in G.elements() if all(mult[g][k] == mult[k][g] for k in gens))
+    complemented = K.mask.bit_count() * cent.bit_count() == G.order * (K.mask & cent).bit_count()
+    if complemented and Z.mask & ~K.mask == 0:
         union = _z_orbits(G, K.mask, Z.mask).stabilizer_union()
         internal_check(
             union.mask == bracket,

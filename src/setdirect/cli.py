@@ -170,27 +170,25 @@ def cmd_verify(args) -> int:
 
 
 def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> None:
-    """Print facts as CSV, or as JSON with a verifier report per pair, all
-    built before anything is printed: before_report runs before each one,
-    and an error it raises leaves stdout empty."""
+    """Print facts as CSV rows, or as JSON with a verifier report per pair,
+    all built before anything is printed: before_report runs before each
+    row or report, and an error it raises leaves stdout empty."""
     if emit == "csv":
         part = conjugacy_classes(G)
-        print("size_x,size_y,normalized,nontrivial,class_signature")
+
+        def signature(side):
+            return "+".join(
+                str(len(part.classes[c])) for c in sorted({part.class_of[x] for x in side})
+            )
+
+        rows = ["size_x,size_y,normalized,nontrivial,class_signature"]
         for f in facts:
-            sig_x = "+".join(
-                str(len(part.classes[c])) for c in sorted(
-                    {part.class_of[x] for x in f.x}
-                )
-            )
-            sig_y = "+".join(
-                str(len(part.classes[c])) for c in sorted(
-                    {part.class_of[y] for y in f.y}
-                )
-            )
-            print(
+            before_report()
+            rows.append(
                 f"{len(f.x)},{len(f.y)},{int(f.is_normalized())},"
-                f"{int(f.is_nontrivial())},{sig_x}|{sig_y}"
+                f"{int(f.is_nontrivial())},{signature(f.x)}|{signature(f.y)}"
             )
+        print("\n".join(rows))
     else:
         reports = []
         for f in facts:

@@ -47,6 +47,7 @@ from .groups import (
     GroupTable,
     Subset,
     SubgroupView,
+    _generators,
     _is_subgroup_mask,
     _ltrans,
     _product_mask,
@@ -245,7 +246,8 @@ def _slices(
     out = {}
     if action is not None:
         for orbit in action.orbits:
-            m = part.classes[orbit.classes[0]].members()[0]
+            cmask = part.class_mask(orbit.classes[0])
+            m = (cmask & -cmask).bit_length() - 1
             out[m] = Subset(G, _ltrans(G, inv[m], part_mask) & zm)
         return out
     seen_masks = set()
@@ -285,16 +287,12 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     x_slices = _slices(G, M, X.mask, Z, m_action)
     y_slices = _slices(G, N, Y.mask, Z, n_action)
 
-    condition_b = True
-    b_witness = None
-    for m, xs in x_slices.items():
-        for n, ys in y_slices.items():
-            if not _factors_directly(G, xs.mask, ys.mask, Z.mask):
-                condition_b = False
-                b_witness = (m, n)
-                break
-        if not condition_b:
-            break
+    b_witness = next(
+        ((m, n) for m, xs in x_slices.items() for n, ys in y_slices.items()
+         if not _factors_directly(G, xs.mask, ys.mask, Z.mask)),
+        None,
+    )
+    condition_b = b_witness is None
 
     direct, xy = _directness(G, X, Y)
     if xy is None:  # |X||Y| > |G|
@@ -337,12 +335,8 @@ def kernel(Zgrp: GroupTable, S: Subset) -> Subset:
         raise ForeignSubset("subset belongs to a different group")
     if not S.mask:
         raise EmptySet("kernel of the empty set")
-    return Subset(Zgrp, _kernel_within(Zgrp, Zgrp.full_mask, S.mask))
-
-
-def _kernel_within(G: GroupTable, zmask: int, smask: int) -> int:
-    """{h in Z : hS = S} for S, Z subsets of an ambient group."""
-    return mask_of(h for h in bits(zmask) if _ltrans(G, h, smask) == smask)
+    smask = S.mask
+    return Subset(Zgrp, mask_of(h for h in Zgrp.elements() if _ltrans(Zgrp, h, smask) == smask))
 
 
 def _factors_directly(G: GroupTable, amask: int, bmask: int, zmask: int) -> bool:
@@ -390,7 +384,9 @@ class SystemReport:
 def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
     """Check the defining conditions for every (i, j) plus the corollaries.
 
-    A system whose definitions pass but whose arithmetic corollaries fail is
+    M_i <= K(A_i) is tested on a generating set of M_i, as K(A_i) is a
+    subgroup: a translate per generator, and none for a trivial M_i.  A
+    system whose definitions pass but whose arithmetic corollaries fail is
     an internal inconsistency and raises.
     """
     G, zmask = sys.z.group, sys.z.mask
@@ -409,10 +405,19 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
                 raise ForeignSubset(f"{name} does not live in Z's group")
             if s.mask & ~zmask:
                 raise ContainmentViolated(f"{name} does not lie inside Z")
+    gens = {}  # subgroup mask -> its greedy generators
     for name, family in (("M_i", sys.m_subgroups), ("N_j", sys.n_subgroups)):
-        for mask in {s.mask for s in family}:
-            if not _is_subgroup_mask(G, mask):
+        for mask in {s.mask for s in family} - gens.keys():
+            gens[mask], closure = _generators(G, mask)
+            if closure != mask:
                 raise NotSubgroup(f"{name} is not a subgroup")
+
+    def kernel_failures(subgroups, sets):
+        return tuple(
+            i
+            for i, (h, s) in enumerate(zip(subgroups, sets))
+            if not s.mask or any(_ltrans(G, g, s.mask) != s.mask for g in gens[h.mask])
+        )
 
     nz = len(sys.z)
     product_failures = [
@@ -421,16 +426,8 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         for j, b in enumerate(sys.b_sets)
         if not _factors_directly(G, a.mask, b.mask, zmask)
     ]
-    kernel_failures_a = tuple(
-        i
-        for i, (mi, a) in enumerate(zip(sys.m_subgroups, sys.a_sets))
-        if not a.mask or mi.mask & ~_kernel_within(G, zmask, a.mask)
-    )
-    kernel_failures_b = tuple(
-        j
-        for j, (nj, b) in enumerate(zip(sys.n_subgroups, sys.b_sets))
-        if not b.mask or nj.mask & ~_kernel_within(G, zmask, b.mask)
-    )
+    kernel_failures_a = kernel_failures(sys.m_subgroups, sys.a_sets)
+    kernel_failures_b = kernel_failures(sys.n_subgroups, sys.b_sets)
     valid = not product_failures and not kernel_failures_a and not kernel_failures_b
 
     a_sizes = tuple(len(a) for a in sys.a_sets)
@@ -447,19 +444,13 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         n_lcm = lcm(1, *(len(n) for n in sys.n_subgroups))
         arithmetic_ok = arithmetic_ok and b_sizes[0] % n_lcm == 0
 
-    def separated(elems_set, subgroup):
-        mem = tuple(bits(elems_set.mask))
-        cosets = set()
-        for a in mem:
-            cm = _ltrans(G, a, subgroup.mask)
-            if cm in cosets:
-                return False
-            cosets.add(cm)
-        return True
-
+    # the cosets aH, a in A, are distinct iff |AH| = |A||H|
     separation_ok = all(
-        separated(a, nj) for a in sys.a_sets for nj in sys.n_subgroups
-    ) and all(separated(b, mi) for b in sys.b_sets for mi in sys.m_subgroups)
+        _product_mask(G, s.mask, h.mask).bit_count() == len(s) * len(h)
+        for sets, subgroups in ((sys.a_sets, sys.n_subgroups), (sys.b_sets, sys.m_subgroups))
+        for s in sets
+        for h in subgroups
+    )
 
     one = 1 << G.identity
     intersections_trivial = all(
@@ -570,15 +561,19 @@ def construct_from_system(
 def derive_system(G: GroupTable, f: SetDirectFactorization):
     """Recover (cp, system, choices) whose construction rebuilds f exactly.
 
-    A_i is the slice of X at the minimal element of the minimal class of
-    orbit i, and the choice for orbit i is that class; likewise for B_j.
+    <X> and <Y> go to the central-product check unchecked, as in the
+    verifier; a pair flagged certified whose <X>, <Y> are not a central
+    product raises NotCertified with the reason.  A_i is the slice of X at
+    the minimal element of the minimal class of orbit i, and the choice for
+    orbit i is that class; likewise for B_j.
     """
     if not f.certified:
         raise NotCertified("cannot derive a system from an uncertified pair")
     M = generated_subgroup(G, f.x)
     N = generated_subgroup(G, f.y)
-    check = is_central_product(G, M, N)
-    internal_check(bool(check), "certified factorization without central product")
+    check = _central_product(G, M, N)
+    if not check:
+        raise NotCertified(f"<X>, <Y> are not a central product: {check.reason}")
     cp = check.decomposition
     om, on = cp.m_orbits, cp.n_orbits
     sys = system_for_decomposition(
@@ -680,9 +675,9 @@ def cyclic_center_factorization(
     if inter.mask != 1 << G.identity:
         return CyclicFactorizationResult(None, inter)
 
-    if comm_m.mask & Z.mask & ~_kernel_within(G, Z.mask, X0.mask):
+    if any(_ltrans(G, h, X0.mask) != X0.mask for h in bits(comm_m.mask & Z.mask)):
         raise HypothesisViolated("[M,M] intersect Z does not stabilize X0")
-    if comm_n.mask & Z.mask & ~_kernel_within(G, Z.mask, Y0.mask):
+    if any(_ltrans(G, h, Y0.mask) != Y0.mask for h in bits(comm_n.mask & Z.mask)):
         raise HypothesisViolated("[N,N] intersect Z does not stabilize Y0")
 
     sys = system_for_decomposition(

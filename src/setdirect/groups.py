@@ -273,30 +273,26 @@ def _product_mask(G: GroupTable, amask: int, bmask: int) -> int:
     return out
 
 
-def _closure_mask(G: GroupTable, mask: int) -> int:
-    """Subgroup generated by the elements of mask.
-
-    The members are walked in order and one already in the closure is
-    skipped.  A new one g costs one x*g per element already reached, and
-    only the elements that adds are then multiplied by every member taken
-    so far: about |<X>| log|<X>| lookups, not |<X>| |X|."""
+def _generators(G: GroupTable, mask: int) -> tuple[tuple, int]:
+    """Greedy generators of the subgroup generated by the elements of mask,
+    and that subgroup's mask: about |<X>| log|<X>| lookups (see
+    _greedy_generators).  A condition whose solutions form a subgroup, such
+    as commuting with a set, holds on <X> once it holds on the generators."""
     reached = [G.identity]
-    for _ in _greedy_generators(G.mult, bits(mask), reached):
-        pass
-    return mask_of(reached)
+    gens = tuple(_greedy_generators(G.mult, bits(mask), reached))
+    return gens, mask_of(reached)
+
+
+def _closure_mask(G: GroupTable, mask: int) -> int:
+    """Subgroup generated by the elements of mask (see _generators)."""
+    return _generators(G, mask)[1]
 
 
 def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
-    if not (mask >> G.identity) & 1:
-        return False
-    mem = tuple(bits(mask))
-    mult = G.mult
-    for a in mem:
-        row = mult[a]
-        for b in mem:
-            if not (mask >> row[b]) & 1:
-                return False
-    return True
+    """A finite set is a subgroup iff it equals the subgroup it generates:
+    |H| log|H| lookups, not the |H|^2 of H*H <= H.  Lagrange refuses a set
+    whose size does not divide |G| first."""
+    return G.order % max(mask.bit_count(), 1) == 0 and _closure_mask(G, mask) == mask
 
 
 # -- construction ----------------------------------------------------------

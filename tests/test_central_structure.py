@@ -1,9 +1,12 @@
 """Central products and the multiplication action on conjugacy classes."""
 
+import hashlib
+
 import pytest
 
 from setdirect.catalog import (
     catalog_group,
+    catalog_names,
     central_product_entry,
     cyclic,
     dihedral,
@@ -11,6 +14,7 @@ from setdirect.catalog import (
     symmetric,
 )
 from setdirect.central import (
+    _certify_central_product,
     central_subgroups,
     class_count_report,
     class_stabilizer,
@@ -78,6 +82,42 @@ class TestIsCentralProduct:
         g = cyclic(4)
         check = is_central_product(g, g.subset([1]), g.full_subset())
         assert check.reason == "NotSubgroup"
+
+
+def _reason_by_definition(g, m, n):
+    """The central-product reason from the whole product set MN and every
+    commutator of an element of M with one of N."""
+    mult, mem, nem = g.mult, m.members(), n.members()
+    if len({mult[a][b] for a in mem for b in nem}) != g.order:
+        return "ProductNotG"
+    if any(any(mult[z][x] != mult[x][z] for x in range(g.order)) for z in set(mem) & set(nem)):
+        return "IntersectionNotCentral"
+    if any(mult[a][b] != mult[b][a] for a in mem for b in nem):
+        return "NotCentralizing"
+    return None
+
+
+class TestCentralProductReasons:
+    def test_reasons_match_the_definition_and_are_pinned(self):
+        # every ordered pair of normal subgroups of every catalog group of
+        # order <= 32: 6891 pairs
+        digest, pairs = hashlib.sha256(), 0
+        for name in catalog_names():
+            g = catalog_group(name)
+            if g.order > 32:
+                continue
+            subs = normal_subgroups(g)
+            for m in subs:
+                for n in subs:
+                    check = _certify_central_product(g, m, n)
+                    assert check.reason == _reason_by_definition(g, m, n), (name, m, n)
+                    if check:
+                        assert check.decomposition.z.mask == m.mask & n.mask
+                    digest.update(f"{name},{m.mask},{n.mask},{check.reason}\n".encode())
+                    pairs += 1
+        assert pairs == 6891
+        assert digest.hexdigest() == (
+            "eddcce04f623daef4ac7d449cde22670b13bc15ea76bec0156b55a4502f8249e")
 
 
 class TestNormalSubgroups:

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from setdirect.cli import build_parser, main, parse_subset
+from setdirect.cli import _emit_factorizations, build_parser, main, parse_subset
 from setdirect.catalog import catalog_group
-from setdirect.errors import GroupError
+from setdirect.errors import GroupError, TimeBudgetExceeded
 from setdirect.groups import MAX_ORDER
+from setdirect.oracle import enumerate_setdirect
 
 from helpers import BUDGET_MARGIN_S
 
@@ -257,6 +258,31 @@ class TestFactorize:
         assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
         assert code == 2 and out == ""
         assert "TimeBudgetExceeded" in err and "in the report phase" in err
+
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_every_row_is_built_before_any_is_printed(self, capsys, emit):
+        g = catalog_group("C4")
+        facts = enumerate_setdirect(g).factorizations
+        calls = []
+
+        def stop_at(k):
+            def hook():
+                calls.append(None)
+                if len(calls) == k:
+                    raise TimeBudgetExceeded("out of time", phase="report")
+            return hook
+
+        with pytest.raises(TimeBudgetExceeded):
+            _emit_factorizations(g, facts, emit, stop_at(5))
+        assert capsys.readouterr().out == "" and len(calls) == 5
+        calls.clear()
+        _emit_factorizations(g, facts, emit, stop_at(0))
+        out = capsys.readouterr().out
+        assert len(calls) == len(facts) == 12
+        if emit == "csv":
+            assert len(out.splitlines()) == len(facts) + 1
+        else:
+            assert len(json.loads(out)) == len(facts)
 
     @pytest.mark.parametrize(
         "argv, named",

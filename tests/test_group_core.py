@@ -28,11 +28,14 @@ from setdirect.errors import (
     NotNormalSubgroup,
     OrderLimitExceeded,
 )
+from setdirect.central import normal_subgroups
 from setdirect.factor import SetDirectFactorization
 from setdirect.groups import (
     MAX_ORDER,
     Subset,
     _closure_mask,
+    _is_subgroup_mask,
+    bits,
     center,
     central_product_embedding,
     commutator_set,
@@ -51,6 +54,7 @@ from setdirect.groups import (
 
 from helpers import (
     breadth_first_closure,
+    is_subgroup_naive,
     naive_center,
     naive_classes,
     naive_closure,
@@ -429,6 +433,38 @@ class TestGeneratedSubgroup:
         masks += [rng.getrandbits(g.order) | 1 << rng.randrange(g.order) for _ in range(3)]
         for mask in masks:
             assert _closure_mask(g, mask) == breadth_first_closure(g, mask), mask
+
+
+class TestSubgroupTest:
+    """_is_subgroup_mask against the pairwise definition H*H <= H, 1 in H."""
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_group(n).order <= 8])
+    def test_every_mask_of_a_small_group(self, name):
+        g = catalog_group(name)
+        for mask in range(1 << g.order):
+            assert _is_subgroup_mask(g, mask) == is_subgroup_naive(g, bits(mask)), mask
+
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if 8 < catalog_group(n).order <= 64]
+    )
+    def test_seeded_masks_normal_subgroups_and_classes(self, name):
+        g = catalog_group(name)
+        n, one = g.order, 1 << g.identity
+        rng = random.Random(f"subgroup test {name}")
+        masks = [rng.getrandbits(n) | one for _ in range(12)]
+        for k in (1, 1, 2, 2, 3):  # subgroups, not all normal, and near misses
+            h = _closure_mask(g, mask_of(rng.sample(range(n), k)))
+            outside = [x for x in range(n) if not (h >> x) & 1]
+            masks.append(h)
+            if outside:
+                y = 1 << rng.choice(outside)
+                masks.append(h | y)
+                if h != one:  # the same size with one member swapped out
+                    masks.append(h ^ y ^ 1 << rng.choice([x for x in bits(h) if x != g.identity]))
+        masks += [s.mask for s in normal_subgroups(g)]
+        masks += [c.mask | one for c in conjugacy_classes(g).classes]
+        for mask in masks:
+            assert _is_subgroup_mask(g, mask) == is_subgroup_naive(g, bits(mask)), mask
 
 
 class TestCommutatorSet:

@@ -1,6 +1,7 @@
 """Directness tests, the structural verifier, factorization systems,
 and the constructive routines."""
 
+import hashlib
 import random
 from dataclasses import fields
 
@@ -20,6 +21,7 @@ from setdirect.catalog import (
     symmetric,
 )
 from setdirect.central import (
+    central_subgroups,
     enumerate_central_decompositions,
     is_central_product,
     normal_subgroups,
@@ -339,6 +341,65 @@ class TestFactorizationSystems:
         sys_ = FactorizationSystem(g.full_subset(), (one,), (one,), (g.full_subset(),), (one,))
         with pytest.raises(NotAbelian, match="central subgroup"):
             check_factorization_system(sys_)
+
+
+def _translate(g, x, mask):
+    return mask_of(g.mult[x][a] for a in bits(mask))
+
+
+def _random_system(g, z, subgroups, rng):
+    """A system over z with Z = H x T for a random subgroup H of Z and a
+    transversal T of it: the A-sets and B-sets are translates of H and T by
+    random elements of Z, the subgroups lie in H or are trivial or are drawn
+    at random, one in three systems has a set replaced by a random subset of
+    Z, and half of them swap the two sides."""
+    zmem, one = z.members(), 1 << g.identity
+    h = rng.choice(subgroups).mask
+    t = covered = 0
+    for x in rng.sample(zmem, len(zmem)):
+        coset = _translate(g, x, h)
+        if not coset & covered:
+            t |= 1 << x
+            covered |= coset
+    a_sets = [_translate(g, rng.choice(zmem), h) for _ in range(rng.randint(1, 3))]
+    b_sets = [_translate(g, rng.choice(zmem), t) for _ in range(rng.randint(1, 3))]
+    below_h = [s.mask for s in subgroups if s.mask & ~h == 0]
+    m_subs = [
+        rng.choice(below_h) if rng.random() < 0.8 else rng.choice(subgroups).mask
+        for _ in a_sets
+    ]
+    n_subs = [one if rng.random() < 0.6 else rng.choice(subgroups).mask for _ in b_sets]
+    if rng.random() < 1 / 3:
+        family = rng.choice((a_sets, b_sets))
+        family[rng.randrange(len(family))] = rng.getrandbits(g.order) & z.mask
+    sides = [(m_subs, a_sets), (n_subs, b_sets)]
+    if rng.random() < 0.5:
+        sides.reverse()
+    (m_subs, a_sets), (n_subs, b_sets) = sides
+    return FactorizationSystem(
+        z, *(tuple(Subset(g, m) for m in f) for f in (m_subs, n_subs, a_sets, b_sets))
+    )
+
+
+def test_system_reports_are_pinned():
+    # 40 seeded systems on every central subgroup of every catalog group of
+    # order <= 32: 8280 reports, valid and failing ones
+    digest, valid = hashlib.sha256(), 0
+    systems = 0
+    for name in SMALL_CATALOG:
+        g = catalog_group(name)
+        rng = random.Random(f"systems {name}")
+        central = central_subgroups(g)
+        for z in central:
+            subgroups = [s for s in central if s.mask & ~z.mask == 0]
+            for _ in range(40):
+                report = check_factorization_system(_random_system(g, z, subgroups, rng))
+                digest.update(f"{name},{z.mask},{report!r}\n".encode())
+                valid += report.valid
+                systems += 1
+    assert (systems, valid) == (8280, 4717)
+    assert digest.hexdigest() == (
+        "dd8bd319216e5824ab52f4ec1ca3557dd3f94ab2ec76a72353978b9200969640")
 
 
 DIFFERENTIAL_GROUPS = [
@@ -679,6 +740,13 @@ class TestDeriveSystem:
                 rebuilt = construct_from_system(g, cp, sys_, choices)
                 assert rebuilt.x.mask == f.x.mask
                 assert rebuilt.y.mask == f.y.mask
+
+    def test_pair_without_a_central_product_is_not_certified(self):
+        # flagged certified, but <X> = <(0 1)> and <Y> = 1 do not multiply to S3
+        g = symmetric(3)
+        f = SetDirectFactorization(g, g.subset([0, 1]), g.subset([0]), True)
+        with pytest.raises(NotCertified, match="ProductNotG"):
+            derive_system(g, f)
 
 
 def _fresh_copy(g):
