@@ -33,7 +33,7 @@ from .factor import (
     transversal_factorization,
     verify_main_theorem,
 )
-from .groups import GroupTable, Subset, center, conjugacy_classes
+from .groups import GroupTable, Subset, bits, center, conjugacy_classes
 from .oracle import DEFAULT_TIME_BUDGET, enumerate_setdirect, property_suite
 
 EXIT_OK = 0
@@ -92,7 +92,7 @@ def parse_subset(G: GroupTable, spec: str) -> Subset:
 
 
 def subset_json(S: Subset):
-    return sorted(S.members())
+    return list(bits(S.mask))  # ascending
 
 
 def report_json(report) -> dict:
@@ -170,9 +170,10 @@ def cmd_verify(args) -> int:
 
 
 def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> None:
-    """Print facts as CSV rows, or as JSON with a verifier report per pair,
-    all built before anything is printed: before_report runs before each
-    row or report, and an error it raises leaves stdout empty."""
+    """Print facts as CSV rows, or as a JSON array with a verifier report per
+    pair, one compact object per line, all built before anything is printed:
+    before_report runs before each row or report, and an error it raises
+    leaves stdout empty."""
     if emit == "csv":
         part = conjugacy_classes(G)
 
@@ -193,8 +194,8 @@ def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> Non
         reports = []
         for f in facts:
             before_report()
-            reports.append(factorization_json(G, f))
-        print(json.dumps(reports, indent=2))
+            reports.append(json.dumps(factorization_json(G, f)))
+        print("[\n" + ",\n".join(reports) + "\n]")
 
 
 def cmd_factorize(args) -> int:
@@ -299,11 +300,18 @@ def cmd_suite(args) -> int:
     else:
         print("suite: give a group or --all-catalog", file=sys.stderr)
         return EXIT_ERROR
+    budget = args.time_budget_secs
+    t_end = time.perf_counter() + budget  # one deadline for the whole run
     failures = 0
     for G in groups:
+        left = t_end - time.perf_counter()
+        if left <= 0 <= budget:  # property_suite refuses a NaN or negative budget
+            print(f"{G.name:12s} SKIP  the run's time budget {budget}s is used up")
+            continue
         try:
+            # what is left of the run's budget, to the millisecond for the message
             rep = property_suite(G, samples=args.samples, seed=args.seed,
-                                 time_budget=args.time_budget_secs)
+                                 time_budget=round(left, 3))
         except SearchSpaceTooLarge as exc:  # a time-out's message names its phase
             print(f"{G.name:12s} SKIP  {exc}")
             continue

@@ -646,6 +646,35 @@ def _is_cyclic_subgroup(G: GroupTable, S: Subset) -> bool:
     )
 
 
+def _self_commutators(G: GroupTable, S: Subset) -> Subset:
+    """The commutator set [S, S] of a subgroup S.  It is {1} exactly when
+    S is abelian, that is when its greedy generators commute pairwise (the
+    centralizer of a set is a subgroup), so only a non-abelian S pays the
+    |S|^2 products."""
+    mult = G.mult
+    gens = _generators(G, S.mask)[0]
+    if all(mult[a][b] == mult[b][a] for a in gens for b in gens):
+        return G.identity_subset()
+    return commutator_set(G, S, S)
+
+
+def _is_perfect(G: GroupTable) -> bool:
+    """Whether G = [G, G].  The derived subgroup is the normal closure of the
+    commutators of G's greedy generators, and a subgroup is normal once the
+    conjugates of its generators by G's generators lie in it."""
+    mult, inv, full = G.mult, G.inv, G.full_mask
+    gens = _generators(G, full)[0]
+    derived = _generators(G, mask_of(
+        mult[mult[inv[a]][inv[b]]][mult[a][b]] for a in gens for b in gens))[1]
+    while derived != full:
+        conjugates = mask_of(mult[mult[inv[g]][k]][g]
+                             for k in _generators(G, derived)[0] for g in gens)
+        if not conjugates & ~derived:
+            return False
+        derived = _generators(G, derived | conjugates)[1]
+    return True
+
+
 def cyclic_center_factorization(
     G: GroupTable,
     cp: CentralDecomposition,
@@ -669,8 +698,8 @@ def cyclic_center_factorization(
     if not _factors_directly(G, X0.mask, Y0.mask, Z.mask):
         raise NotADirectFactorizationOfZ("Z is not the direct product X0 x Y0")
 
-    comm_m = commutator_set(G, cp.m, cp.m)
-    comm_n = commutator_set(G, cp.n, cp.n)
+    comm_m = _self_commutators(G, cp.m)
+    comm_n = _self_commutators(G, cp.n)
     inter = Subset(G, comm_m.mask & comm_n.mask)
     if inter.mask != 1 << G.identity:
         return CyclicFactorizationResult(None, inter)
@@ -742,8 +771,7 @@ def prime_power_factorization(G: GroupTable, z: int) -> SetDirectFactorization:
     internal_check(
         not _is_subgroup_mask(G, f.y.mask), "transversal factor is a subgroup"
     )
-    comm = commutator_set(G, G.full_subset(), G.full_subset())
-    if generated_subgroup(G, comm).mask == G.full_mask:
+    if _is_perfect(G):
         internal_check(
             not _is_subgroup_mask(G, f.x.mask),
             "perfect group produced a subgroup factor",

@@ -4,11 +4,12 @@ enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
 an exact-cover search.  The small sides X come as union masks, in the
-lexicographic order of their classes; the cover of G by products X·c is one
-loop over a stack of states (elements covered, Y so far) and keeps, per X,
-one column per element g (the classes c with g in X·c and X·c direct),
-built the first time g is the lowest uncovered element.  Each small side X
-found stands for an orbit:
+lexicographic order of their classes.  The cover of G by products X·c is
+memoized on the covered mask: one flat post-order loop solves each covered
+mask once, into the list of class unions that complete it (empty for a dead
+end), with one column per element g (the classes c with g in X·c and X·c
+direct), built the first time g is the lowest uncovered element.  Each
+small side X found stands for an orbit:
 - central shifts: for z^-1 in X∩Z, zX is normalized and has the same
   complements Y as X (zX·Y = zG = G, with unique representation);
 - power maps: on an abelian group the maps x -> x^k, k a unit modulo the
@@ -20,17 +21,19 @@ the power maps, the sets s(zX), and adds the images (zX, Y) and (s(zX), sY)
 of each pair (X, Y) it finds; a non-abelian group with a nontrivial centre
 has the shifts alone.  Every other factorization is a shift (zX, wY) of a
 normalized one by central elements z, w, and shifting preserves directness.
-The totals follow from the normalized pairs in closed form (each normalized
-ordered pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations); the
+The totals follow from the normalized pairs in closed form (each unordered
+normalized pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) unordered factorizations); the
 shifts themselves are built only for a full listing.  Nothing here consults
 the structural verifier.
 
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
 A run goes search, expand (full listing only), sort (chunks, then one merge
-in pieces), listing, each phase under one deadline, which the search polls
-once per candidate X and once per exact-cover state; the candidate volume
-and the expansion have fixed caps.
+in pieces), listing, each phase under one deadline.  The pairs are added,
+expanded and listed in bulk, a list comprehension over at most _CHUNK masks
+at a time, and the clock is read before each such step; the search also
+polls it once per candidate X and once per exact-cover state.  The
+candidate volume and the expansion have fixed caps.
 """
 
 from __future__ import annotations
@@ -148,13 +151,27 @@ class _Found:
     """Unordered normalized pairs met so far, with their shift weights.
 
     pairs holds each pair of masks lo <= hi as the int lo << |G| | hi.
-    weights maps (|X∩Z| |Y∩Z|, nontrivial) to the number of normalized
-    ordered pairs with that product; it is tallied as each new pair is met,
-    so the counts cost no pass over the pairs afterwards.
+    weights maps (|X∩Z| |Y∩Z|, nontrivial) to the number of unordered
+    normalized pairs with that product; it is tallied as the pairs go in, so
+    the counts cost no pass over the pairs afterwards.
     """
 
     pairs: set = field(default_factory=set)
     weights: Counter = field(default_factory=Counter)
+
+
+_CHUNK = 4096  # masks per bulk step; the clock is read before each step
+
+
+def _pieces(values, deadline: _Deadline, size: int = _CHUNK):
+    """The values in lists of at most `size`, the clock read before each."""
+    it = iter(values)
+    while True:
+        deadline.check()
+        piece = list(islice(it, size))
+        if not piece:
+            return
+        yield piece
 
 
 _SORT_CHUNK = 1 << 16  # one sort of this many pairs takes tens of ms
@@ -258,14 +275,20 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     """Put every unordered normalized factorization pair, packed, into `found`.
 
     Each candidate X (a union of classes holding the identity) whose
-    orbit no earlier X covers is completed by Knuth's exact cover, one
-    loop over a stack of states (elements covered, Y so far): the lowest
-    uncovered element g of a popped state picks the column of classes c,
-    and each c whose product X·c misses the covered elements is pushed.  A
-    column is cached per X, so a node reads it rather than rebuilding it
-    from the products X·c.  Pairs go in as the search meets them, so a
-    caller that catches _OutOfTime still holds every pair found before the
-    deadline.
+    orbit no earlier X covers is completed by Knuth's exact cover, memoized
+    on the covered mask: ends[covered] lists the unions of classes that
+    complete that cover, so two partial Y that cover the same elements are
+    solved once.  A flat post-order loop fills it: the lowest uncovered
+    element g of a covered mask picks the column of classes c, and each c
+    whose product X·c misses the covered elements leads to the mask
+    covered | X·c, solved before covered itself; a dead end keeps an empty
+    list.  A column is cached per X, so a node reads it rather than
+    rebuilding it from the products X·c.  X's own completions are read
+    from the ends of its first steps, so its list, the longest, is never
+    built.  The pairs of X and of its orbit's images then go in, and their
+    shift weights are tallied, in chunks of at most _CHUNK completions, one
+    list comprehension per image; a caller that catches _OutOfTime holds
+    every pair added before the deadline, each with its weight.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -294,15 +317,6 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
         deadline.check()
         maps.append(_byte_tables(s))
 
-    def add(xm, ym, nontrivial):
-        key = xm << n | ym if xm <= ym else ym << n | xm
-        if key in pairs:  # with |X| = |Y| a pair can be met twice
-            return
-        pairs.add(key)
-        weights[(xm & zc).bit_count() * (ym & zc).bit_count(), nontrivial] += (
-            2 if xm != ym else 1
-        )
-
     pair_products: dict = {}
 
     def class_pair(cx, cy):
@@ -323,12 +337,13 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
             if xmask in covered_x:
                 continue
             # The orbit of X: every s(zX), z^-1 in X∩Z and s a power map or
-            # the identity.  zX has the same complements Y as X, and the
-            # factorizations with small side sX are exactly the (sX, sY).
-            # One map per distinct image; where two maps give one image,
-            # the complements of X are closed under either, so they agree.
+            # the identity (z = 1 and the identity give X itself).  zX has the
+            # same complements Y as X, and the factorizations with small side
+            # sX are exactly the (sX, sY).  One map per distinct image; where
+            # two maps give one image, the complements of X are closed under
+            # either, so they agree.
             shifts = [_ltrans(G, inv[z], xmask) for z in bits(xmask & zc)]
-            orbit, images = {xmask}, []
+            orbit, images = set(), []
             for tables in maps:
                 sxs = []
                 for zx in shifts:
@@ -356,22 +371,30 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                     xc_cache[c] = m
                 return m
 
+            # Y is normalized too: it must contain the identity class.
+            init = x_times(id_class)
+            if init == -1:
+                continue
             # Each X * c in a column is direct, so it has d |c| elements and
             # a disjoint one always fits: a cover is complete when it is full.
             columns = [None] * n  # column g: (X * c, c) per usable class c
-            # Y is normalized too: it must contain the identity class.
-            init = x_times(id_class)
-            stack = [(init, id_mask)] if init != -1 else []
+            ends = {full: [0]}
+            succ = {}  # a covered mask being solved: (covered | X * c, c) per step
+            stack = [init]  # a mask to solve, or ~mask once its successors are
             while stack:
+                covered = stack.pop()
+                if covered < 0:  # every successor is solved: join their ends
+                    covered = ~covered
+                    if covered == init:
+                        break  # X's own completions are read step by step below
+                    out = []
+                    for nxt, cm in succ.pop(covered):
+                        out += [cm | t for piece in _pieces(ends[nxt], deadline)
+                                for t in piece]
+                    ends[covered] = out
+                    continue
                 poll()
-                covered, ymask = stack.pop()
-                if covered == full:
-                    internal_check(ymask.bit_count() * d == n, "full cover with |X||Y| != |G|")
-                    add(xmask, ymask, nontrivial)
-                    for tables, sxs in images:
-                        sy = ymask if tables is None else _map_mask(tables, ymask)
-                        for sx in sxs:
-                            add(sx, sy, nontrivial)
+                if covered in ends:
                     continue
                 low = ~covered & full
                 g = (low & -low).bit_length() - 1
@@ -382,9 +405,39 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                         for c in sorted({class_of[mult[xi][g]] for xi in x_inv})
                         if (pm := x_times(c)) != -1
                     ]
-                for pm, cm in col:
-                    if not pm & covered:
-                        stack.append((covered | pm, ymask | cm))
+                steps = succ[covered] = [(covered | pm, cm) for pm, cm in col
+                                         if not pm & covered]
+                stack.append(~covered)
+                stack += [nxt for nxt, _ in steps if nxt not in ends]
+
+            # The pairs of X and its images, a chunk of completions at a time;
+            # init is never expanded only when it is full, in the trivial group.
+            chunks = ((id_mask | cm, piece) for nxt, cm in succ.get(init, [(init, 0)])
+                      for piece in _pieces(ends[nxt], deadline))
+            xz = (xmask & zc).bit_count()  # shifts and power maps keep |X∩Z|, |Y∩Z|
+            for y0, piece in chunks:
+                ys = [y0 | t for t in piece]
+                internal_check(set(map(int.bit_count, ys)) == {e},
+                               "full cover with |X||Y| != |G|")
+                yz = list(map(int.bit_count, [y & zc for y in ys]))
+                every = Counter(yz)
+                for tables, sxs in images:
+                    deadline.check()
+                    sys_ = ys if tables is None else [_map_mask(tables, y) for y in ys]
+                    for sx in sxs:
+                        deadline.check()
+                        keys = [sx << n | sy if sx <= sy else sy << n | sx for sy in sys_]
+                        if d == e:  # (X, Y) may be met again as (Y, X): tally new pairs
+                            tally = Counter(z for key, z in zip(keys, yz) if key not in pairs)
+                            pairs.update(keys)
+                        else:
+                            grown = len(pairs)
+                            pairs.update(keys)
+                            internal_check(len(pairs) - grown == len(keys),
+                                           "a pair with |X| != |Y| was met twice")
+                            tally = every
+                        for z, cnt in tally.items():
+                            weights[xz * z, nontrivial] += cnt
         del covered_x  # a later split has another |X|, so none of it recurs
 
 
@@ -396,10 +449,16 @@ def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
     (|X∩Z| / |K(X)|) (|Y∩Z| / |K(Y)|) of them are normalized (zX holds the
     identity iff z^-1 lies in X).  So each normalized ordered pair stands
     for |Z|^2 / (|X∩Z| |Y∩Z|) ordered factorizations: popcounts suffice.
+    Swapping the sides pairs the ordered factorizations off, and each
+    unordered normalized pair {X, Y} stands for as many unordered ones: a
+    factorization (A, A) would be a shift of a normalized (X, cX), c
+    central, where cx = 1·(cx) = x·c has two representations for each
+    x != 1 in X; so X = {1}, the group is trivial, and ({1}, {1}) its one
+    pair.
     """
     zz = center(G).mask.bit_count() ** 2
 
-    def ordered_total(nontrivial_only):
+    def total(nontrivial_only):
         got = sum(
             (Fraction(zz * cnt, w) for (w, nt), cnt in weights.items()
              if nt or not nontrivial_only),
@@ -408,12 +467,13 @@ def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
         internal_check(got.denominator == 1, "shift orbits do not sum to a whole count")
         return got.numerator
 
-    diagonal = 1 if G.order == 1 else 0
-    return (ordered_total(False) + diagonal) // 2, (ordered_total(True) + diagonal) // 2
+    return total(False), total(True)
 
 
 def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
-    """Every central shift (zX, wY) of the packed normalized pairs, packed."""
+    """Every central shift (zX, wY) of the packed normalized pairs, packed:
+    one list comprehension per pair, the clock read before each piece of
+    pairs whose shifts make at most _CHUNK masks."""
     n, full = G.order, G.full_mask
     zs = tuple(bits(center(G).mask))
     if len(zs) ** 2 * max(len(pairs), 1) > _EXPANSION_CAP:
@@ -430,18 +490,17 @@ def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
             got = tcache[mask] = [_ltrans(G, z, mask) for z in zs]
         return got
 
-    for v in pairs:
-        tys = translates(v & full)
-        for tx in translates(v >> n):
-            for ty in tys:
-                deadline.poll()
-                out.add(tx << n | ty if tx <= ty else ty << n | tx)
+    for piece in _pieces(pairs, deadline, max(1, _CHUNK // len(zs) ** 2)):
+        for v in piece:
+            tys = translates(v & full)
+            out.update([tx << n | ty if tx <= ty else ty << n | tx
+                        for tx in translates(v >> n) for ty in tys])
     return out
 
 
 def _factorization_list(G: GroupTable, listed, deadline: _Deadline) -> list:
     """The sorted packed pairs as factorizations, built with the cyclic
-    garbage collector paused.
+    garbage collector paused and the clock read once per _CHUNK pairs.
 
     Pairs that share their first mask are contiguous in sorted order, so
     each such run shares one Subset for it.  The objects form no cycles, but
@@ -453,15 +512,16 @@ def _factorization_list(G: GroupTable, listed, deadline: _Deadline) -> list:
     """
     n, full = G.order, G.full_mask
     facts = []
+    append = facts.append
     x = Subset(G, 0)  # no listed pair has an empty side
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for v in listed:
-            deadline.poll()
-            if v >> n != x.mask:
-                x = Subset(G, v >> n)
-            facts.append(SetDirectFactorization(G, x, Subset(G, v & full), True))
+        for piece in _pieces(listed, deadline):
+            for v in piece:
+                if v >> n != x.mask:
+                    x = Subset(G, v >> n)
+                append(SetDirectFactorization(G, x, Subset(G, v & full), True))
     except _OutOfTime:
         facts.clear()
         raise
@@ -484,23 +544,25 @@ def enumerate_setdirect(
     search accepts a group when its divisor-pruned candidate volume stays
     under a fixed cap (3 million), and a full listing when its |Z|^2 shifts
     of the normalized pairs stay under another (2 million); past either it
-    raises SearchSpaceTooLarge.  The exact cover is a loop over an explicit
-    stack, so no number of classes meets the recursion limit.  It searches
-    one small side X per orbit of the central shifts X -> zX (z^-1 in X∩Z)
-    composed with, on an abelian group, the power maps x -> x^k (k a unit
-    modulo the exponent, each map checked on the table to be an
-    automorphism), and adds the images (zX, Y) and (s(zX), sY) of every
-    pair (X, Y) it finds.  Counts (total,
-    nontrivial, normalized) are always exact; the returned list is either
+    raises SearchSpaceTooLarge.  The exact cover is memoized on the covered
+    mask, so each partial cover is solved once, and runs as a loop over an
+    explicit stack: no number of classes meets the recursion limit.  It
+    searches one small side X per orbit of the central shifts X -> zX
+    (z^-1 in X∩Z) composed with, on an abelian group, the power maps
+    x -> x^k (k a unit modulo the exponent, each map checked on the table to
+    be an automorphism), and adds the images (zX, Y) and (s(zX), sY) of
+    every pair (X, Y) it finds, in bulk.  Counts (total, nontrivial,
+    normalized) are always exact; the returned list is either
     all pairs or, with normalized_only, one normalized pair per entry, in
     ascending order of (min mask, max mask) either way.
 
     The phases run in the order search, expand (full listing only), sort,
     listing; each pair is one packed int through all of them, and the list
-    is sorted once.  time_budget bounds them all.  On a time-out
-    TimeBudgetExceeded.phase names the phase it ran out in, and
-    TimeBudgetExceeded.partial holds the normalized pairs found so far as
-    `normalized`, and `total`/`nontrivial` summed over those pairs: lower
+    is sorted once.  time_budget bounds them all: each bulk step covers at
+    most 4096 masks (or one pair's |Z|^2 shifts) and reads the clock first.
+    On a time-out TimeBudgetExceeded.phase names the phase it ran out in,
+    and TimeBudgetExceeded.partial holds the normalized pairs found so far
+    as `normalized`, and `total`/`nontrivial` summed over those pairs: lower
     bounds of the exact counts.  Its list of factorizations is empty.  A
     NaN or negative time_budget raises GroupError.
     """
@@ -519,7 +581,7 @@ def enumerate_setdirect(
         phase = "listing"
         if nontrivial_only:  # a normal singleton is central
             n, full = G.order, G.full_mask
-            listed = [v for v in listed
+            listed = [v for piece in _pieces(listed, deadline) for v in piece
                       if (v >> n).bit_count() > 1 and (v & full).bit_count() > 1]
         facts = _factorization_list(G, listed, deadline)
     except _OutOfTime:

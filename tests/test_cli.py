@@ -1,6 +1,7 @@
 """CLI subcommands: parsing, exit codes, JSON shape, group files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -232,6 +233,17 @@ class TestFactorize:
         assert lines[0] == "size_x,size_y,normalized,nontrivial,class_signature"
         assert len(lines) == 13  # 12 factorizations + header
 
+    def test_oracle_json_listing_is_unchanged(self, capsys):
+        # SHA-256 of the parsed C12 listing, re-dumped with sorted keys, as
+        # taken when the whole array was printed by one indented json.dumps
+        code, out, _ = run(capsys, "factorize", "C12", "--method", "oracle")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "[" and lines[-1] == "]" and len(lines) == 1164 + 2
+        digest = hashlib.sha256(json.dumps(json.loads(out), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "093843dfb78bc2838364cc22f77273252f8bb5121e007558fcf7340e7d947131")
+
     def test_cyclic_method(self, capsys):
         # the canonical factor images of the glued Q8oQ8
         code, out, _ = run(
@@ -322,6 +334,16 @@ class TestSuite:
         assert time.perf_counter() - t0 <= 0.5 + BUDGET_MARGIN_S
         assert code == 0
         assert "SKIP" in out and "criteria_agree_on_samples" in out
+
+    def test_one_budget_bounds_the_whole_catalog_run(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "suite", "--all-catalog", "--max-order", "8",
+                           "--samples", "100000000000000", "--time-budget-secs", "0.2")
+        assert time.perf_counter() - t0 <= 0.2 + BUDGET_MARGIN_S
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 17 and all(" SKIP " in line for line in lines)
+        assert "the run's time budget 0.2s is used up" in lines[-1]
 
     def test_suite_without_a_group_exit_2(self, capsys):
         code, out, err = run(capsys, "suite", "--samples", "10")

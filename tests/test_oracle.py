@@ -108,6 +108,18 @@ class TestShiftOrbitCounts:
         pairs = [(f.x.mask, f.y.mask) for f in res.factorizations]
         assert (res.total, res.nontrivial) == translate_orbit_counts(g, pairs)
 
+    @pytest.mark.parametrize("name, counts", [
+        ("C1", (1, 0, 1)),  # X = Y = {1}: the one pair with equal sides
+        ("C16", (4624, 4608, 289)),
+        ("Q8oC4", (68, 64, 17)),
+        ("C36", (14205492, 14205456, 394597)),
+    ])
+    def test_equal_sides_count_each_pair_once(self, name, counts):
+        # with |X| = |Y| a pair can be met from either side, and only its
+        # first meeting counts
+        res = enumerate_setdirect(catalog_group(name), normalized_only=True)
+        assert (res.total, res.nontrivial, res.normalized) == counts
+
     def test_c34_pinned(self):
         res = enumerate_setdirect(cyclic(34), normalized_only=True)
         assert (res.total, res.nontrivial, res.normalized) == (2228802, 2228768, 65553)
@@ -401,6 +413,29 @@ class TestTimeBudget:
             enumerate_setdirect(g, normalized_only=True, time_budget=1.0)
         assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
         assert info.value.phase == "search"
+
+    def test_c45_search_ends_near_its_budget(self):
+        # X = <z^15> alone has 4.78 million completions
+        t0 = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded) as info:
+            enumerate_setdirect(catalog_group("C45"), normalized_only=True, time_budget=1.0)
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert info.value.phase == "search"
+        assert info.value.partial.normalized > 0
+
+    def test_bulk_steps_of_the_search_read_the_clock(self):
+        # A deadline whose poll never reads the clock: only the reads before
+        # each bulk step (a node's completions, a chunk of pairs) can stop it.
+        class NoPoll(oracle._Deadline):
+            def poll(self):
+                pass
+
+        found = oracle._Found()
+        t0 = time.perf_counter()
+        with pytest.raises(oracle._OutOfTime):
+            oracle._normalized_pairs(catalog_group("C45"), NoPoll(1.0), found)
+        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
+        assert found.pairs
 
     def test_search_does_not_recurse(self):
         g = catalog_group("C30")

@@ -2,6 +2,7 @@
 and the constructive routines."""
 
 import hashlib
+import itertools
 import random
 from dataclasses import fields
 
@@ -25,6 +26,7 @@ from setdirect.central import (
     enumerate_central_decompositions,
     is_central_product,
     normal_subgroups,
+    semi_regular_elements,
     z_orbits,
 )
 from setdirect.errors import (
@@ -626,7 +628,7 @@ class TestCyclicCenter:
 
 
 class TestPrimePower:
-    @pytest.mark.parametrize("n,p", [(4, 2), (8, 2), (9, 3), (16, 2), (27, 3)])
+    @pytest.mark.parametrize("n,p", [(4, 2), (8, 2), (9, 3), (16, 2), (27, 3), (729, 3)])
     def test_cyclic_prime_powers(self, n, p):
         g = cyclic(n)
         f = prime_power_factorization(g, 1)
@@ -670,6 +672,64 @@ class TestPrimePower:
         from setdirect.groups import _is_subgroup_mask
 
         assert not _is_subgroup_mask(g, f.y.mask)
+
+
+def _commutator_fact_lines():
+    """One line per prime_power_factorization call on each semi-regular
+    element, and per cyclic_center_factorization call on each pair of
+    subsets X0, Y0 holding 1 with |X0||Y0| = |Z|, Z cyclic of order <= 8,
+    over the central decompositions of catalog groups of order <= 32: the
+    masks built, the absence witness, or the error raised."""
+    lines = []
+    for name in catalog_names():
+        g = catalog_group(name)
+        if g.order > 32:
+            continue
+        for z in semi_regular_elements(g).members():
+            try:
+                f = prime_power_factorization(g, z)
+                lines.append(f"{name} pp {z} {f.x.mask} {f.y.mask}")
+            except GroupError as exc:
+                lines.append(f"{name} pp {z} {type(exc).__name__}")
+        for cp in enumerate_central_decompositions(g):
+            zm = cp.z.members()
+            if len(zm) > 8 or not any(
+                    generated_subgroup(g, g.singleton(x)).mask == cp.z.mask for x in zm):
+                continue
+            others = [x for x in zm if x != g.identity]
+            subsets = [mask_of(c) | 1 << g.identity
+                       for r in range(len(others) + 1)
+                       for c in itertools.combinations(others, r)]
+            for a in subsets:
+                for b in subsets:
+                    if a.bit_count() * b.bit_count() != len(zm):
+                        continue
+                    try:
+                        res = cyclic_center_factorization(g, cp, Subset(g, a), Subset(g, b))
+                    except GroupError as exc:
+                        out = type(exc).__name__
+                    else:
+                        out = (f"{res.factorization.x.mask} {res.factorization.y.mask}"
+                               if res else "absent") + f" {res.commutator_intersection.mask}"
+                    lines.append(f"{name} cyc {cp.m.mask} {cp.n.mask} {a} {b} {out}")
+    return lines
+
+
+def test_commutator_facts_are_pinned():
+    # 4 266 lines: 124 prime-power factorizations, 733 cyclic-centre ones,
+    # 20 absences and the errors; SHA-256 taken when every commutator fact
+    # came from a whole-table commutator set
+    lines = _commutator_fact_lines()
+    assert len(lines) == 4266
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "5d6576ba444a687c1df4ffe9d64c0feb806cc567883ed56cb376e81caf1108bf")
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog_group(n).order <= 64])
+def test_perfectness_from_generators_matches_the_commutator_set(name):
+    g = catalog_group(name)
+    whole = generated_subgroup(g, commutator_set(g, g.full_subset(), g.full_subset()))
+    assert factor._is_perfect(g) == (whole.mask == g.full_mask)
 
 
 class TestNormalize:
