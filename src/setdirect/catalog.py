@@ -19,6 +19,7 @@ from .groups import (
     GroupTable,
     central_product_embedding,
     check_order,
+    direct_product,
     group_from_permutations,
     group_from_table,
 )
@@ -97,31 +98,27 @@ def alternating(n: int, *, name: Optional[str] = None) -> GroupTable:
 
 
 def cyclic_product(orders: Sequence[int], *, name: Optional[str] = None) -> GroupTable:
-    """Direct product of cyclic groups with generator labels g1, g2, ..."""
+    """Direct product of cyclic groups with generator labels g1, g2, ...
+
+    Element exponent_index(orders, e) is g1^e1 * g2^e2 * ...; the table is
+    the left fold of direct_product over the cyclic factors, whose packing
+    a*|B| + b is that index."""
     orders = tuple(int(o) for o in orders)
     if not orders or any(o < 1 for o in orders):
         raise NotAGroup("cyclic factor orders must be positive")
     n = math.prod(orders)
     check_order(n)
+    G = cyclic(orders[0])
+    for o in orders[1:]:
+        G = direct_product(G, cyclic(o))
 
-    def decode(x):
+    def lab(x):
         exps = []
         for o in reversed(orders):
             exps.append(x % o)
             x //= o
-        return tuple(reversed(exps))
-
-    mult = [[0] * n for _ in range(n)]
-    for x in range(n):
-        ex = decode(x)
-        for y in range(n):
-            ey = decode(y)
-            mult[x][y] = exponent_index(orders, tuple(a + b for a, b in zip(ex, ey)))
-    inv = [exponent_index(orders, tuple(-a for a in decode(x))) for x in range(n)]
-
-    def lab(x):
         parts = []
-        for i, e in enumerate(decode(x)):
+        for i, e in enumerate(reversed(exps)):
             if e == 1:
                 parts.append(f"g{i+1}")
             elif e:
@@ -129,7 +126,7 @@ def cyclic_product(orders: Sequence[int], *, name: Optional[str] = None) -> Grou
         return "*".join(parts) if parts else "1"
 
     default = "x".join(f"C{o}" for o in orders)
-    return GroupTable(mult, inv, 0, [lab(x) for x in range(n)], name=name or default)
+    return GroupTable(G.mult, G.inv, 0, [lab(x) for x in range(n)], name=name or default)
 
 
 def exponent_index(orders: Sequence[int], exps: Sequence[int]) -> int:

@@ -5,6 +5,7 @@ and the class-counting identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -33,6 +34,10 @@ from .groups import (
 )
 
 ENUMERATION_BOUND = 512
+# enumerate_central_decompositions checks about s^2 / 2 pairs of s normal
+# subgroups and keeps every check on the table: 0.66 s at s = 249
+# (C2xC2xC4xC4) and 1.05 s at 374 (C2^5); no catalog group has over 68
+NORMAL_SUBGROUP_BOUND = 256
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,6 @@ def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck
     construct_from_system then share one decomposition and its orbits.
     """
     memo = G._central_products
-    if memo is None:
-        memo = G._central_products = {}
     key = (M.mask, N.mask)
     check = memo.get(key)
     if check is None:
@@ -123,8 +126,9 @@ def _certify_central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProd
     return CentralProductCheck(CentralDecomposition(M, N, Subset(G, zmask)), None)
 
 
-def _join_closure(G: GroupTable, generators):
-    """All joins of the subgroups generated by each mask, sorted by size."""
+def _join_closure(G: GroupTable, generators, bound=math.inf):
+    """All joins of the subgroups generated by each mask, sorted by size;
+    OrderLimitExceeded once more than `bound` are found."""
     trivial = 1 << G.identity
     base = {trivial} | {_closure_mask(G, m | trivial) for m in generators}
     found = set(base)
@@ -139,6 +143,11 @@ def _join_closure(G: GroupTable, generators):
                     if j not in found:
                         found.add(j)
                         new.add(j)
+                        if len(found) > bound:
+                            raise OrderLimitExceeded(
+                                f"decomposition enumeration bound: {G.name} has more "
+                                f"than {bound} normal subgroups"
+                            )
         frontier = new
     return [Subset(G, m) for m in sorted(found, key=lambda m: (m.bit_count(), m))]
 
@@ -168,13 +177,18 @@ def enumerate_central_decompositions(G: GroupTable):
     """All unordered pairs of normal subgroups forming central products.
 
     Includes (G, Z) for every central subgroup Z.  Pairs are canonicalized
-    with the larger factor first.
+    with the larger factor first.  A group of order over ENUMERATION_BOUND,
+    or with more than NORMAL_SUBGROUP_BOUND normal subgroups, raises
+    OrderLimitExceeded; the latter is found before the subgroups are all
+    listed.
     """
     if G.order > ENUMERATION_BOUND:
         raise OrderLimitExceeded(
             f"decomposition enumeration bound {ENUMERATION_BOUND} exceeded by {G.name}"
         )
-    subs = normal_subgroups(G)
+    subs = _join_closure(
+        G, (cls.mask for cls in conjugacy_classes(G).classes), NORMAL_SUBGROUP_BOUND
+    )
     out = []
     for i, M in enumerate(subs):
         for N in subs[i:]:

@@ -18,12 +18,11 @@ from functools import cache
 from . import __version__
 from .catalog import catalog_group, catalog_names, load_group
 from .central import (
-    ENUMERATION_BOUND,
     enumerate_central_decompositions,
     is_central_product,
     semi_regular_elements,
 )
-from .errors import GroupError, SearchSpaceTooLarge, TimeBudgetExceeded
+from .errors import GroupError, OrderLimitExceeded, SearchSpaceTooLarge, TimeBudgetExceeded
 from .factor import (
     construct_from_system,
     cyclic_center_factorization,
@@ -129,7 +128,10 @@ def cmd_info(args) -> int:
     G = load_group(args.group)
     part = conjugacy_classes(G)
     zc = center(G)
-    decs = enumerate_central_decompositions(G) if G.order <= ENUMERATION_BOUND else None
+    try:
+        decs = enumerate_central_decompositions(G)
+    except OrderLimitExceeded:  # too large an order, or too many normal subgroups
+        decs = None
     semi = semi_regular_elements(G)
     info = {
         "name": G.name,

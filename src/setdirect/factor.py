@@ -663,7 +663,7 @@ def _is_perfect(G: GroupTable) -> bool:
     commutators of G's greedy generators, and a subgroup is normal once the
     conjugates of its generators by G's generators lie in it."""
     mult, inv, full = G.mult, G.inv, G.full_mask
-    gens = _generators(G, full)[0]
+    gens = G.generators
     derived = _generators(G, mask_of(
         mult[mult[inv[a]][inv[b]]][mult[a][b]] for a in gens for b in gens))[1]
     while derived != full:

@@ -2,11 +2,12 @@
 
 Elements are integers 0..n-1.  A Subset is an immutable bitmask over the
 element range of a fixed GroupTable.  The table, partitions and subsets
-never change after construction.  A table also carries caches of what is
-derived from it alone: a generating set, the classes, the centre, the label
-index, and the central-product checks keyed by a pair of subgroup masks.
-Each is filled on first use and gives the same result on every use, so
-every operation in this module is a pure function of its inputs.
+never change after construction.  What a table derives from itself alone is
+a cached_property of it: a generating set, whether it is abelian, the
+classes, the centre, the label index, and the memo of central-product checks
+keyed by a pair of subgroup masks.  Each is computed on first use and gives
+the same result on every use, so every operation in this module is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -65,23 +66,9 @@ class GroupTable:
     """A finite group: order, n-by-n multiplication table, inverses, labels.
 
     Construct through the factory functions in this module (or the catalog);
-    the constructor itself trusts its arguments.
+    the constructor itself trusts its arguments.  The structures derived
+    from the table alone are cached properties, computed once per table.
     """
-
-    __slots__ = (
-        "order",
-        "mult",
-        "inv",
-        "identity",
-        "labels",
-        "name",
-        "_generators",
-        "_classes",
-        "_center_mask",
-        "_abelian",
-        "_label_index",
-        "_central_products",
-    )
 
     def __init__(self, mult, inv, identity, labels, name="G"):
         self.order = len(mult)
@@ -90,12 +77,6 @@ class GroupTable:
         self.identity = identity
         self.labels = tuple(labels)
         self.name = name
-        self._generators = None
-        self._classes = None
-        self._center_mask = None
-        self._abelian = None
-        self._label_index = None
-        self._central_products = None  # (M mask, N mask) -> check; see central.py
 
     # -- element arithmetic -------------------------------------------------
 
@@ -113,24 +94,59 @@ class GroupTable:
             k += 1
         return k
 
-    @property
+    @cached_property
     def generators(self) -> tuple:
-        """A generating set of at most log2(order) elements, found greedily
-        on first use: the set Light's test checks on a table."""
-        if self._generators is None:
-            self._generators = tuple(
-                _greedy_generators(self.mult, range(self.order), [self.identity])
-            )
-        return self._generators
+        """A generating set of at most log2(order) elements, found greedily:
+        the set Light's test checks on a table."""
+        return tuple(_greedy_generators(self.mult, range(self.order), [self.identity]))
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            mult = self.mult
-            self._abelian = all(
-                mult[a][b] == mult[b][a] for a, b in combinations(self.generators, 2)
-            )
-        return self._abelian
+        mult = self.mult
+        return all(mult[a][b] == mult[b][a] for a, b in combinations(self.generators, 2))
+
+    @cached_property
+    def _classes(self) -> ClassPartition:
+        """The conjugacy classes, ordered by minimal member.  A class is the
+        orbit of conjugation by G, and so the closure under conjugation by a
+        generating set: n * |gens| lookups, not n^2."""
+        n, mult, inv = self.order, self.mult, self.inv
+        # conj[y] = g^-1 y g, one index list per generator g
+        conjs = [[mult[w][g] for w in mult[inv[g]]] for g in self.generators]
+        class_of = [-1] * n
+        classes = []
+        for x in range(n):
+            if class_of[x] >= 0:
+                continue
+            idx = len(classes)
+            class_of[x] = idx
+            mask = 1 << x
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for conj in conjs:
+                    z = conj[y]
+                    if class_of[z] < 0:
+                        class_of[z] = idx
+                        mask |= 1 << z
+                        stack.append(z)
+            classes.append(Subset(self, mask))
+        return ClassPartition(self, tuple(classes), tuple(class_of))
+
+    @cached_property
+    def _center_mask(self) -> int:
+        """The elements commuting with a generating set."""
+        mult, gens = self.mult, self.generators
+        m = 0
+        for z, row in enumerate(mult):
+            if all(row[g] == mult[g][z] for g in gens):
+                m |= 1 << z
+        return m
+
+    @cached_property
+    def _central_products(self) -> dict:
+        """(M mask, N mask) -> central-product check, filled by central.py."""
+        return {}
 
     # -- subsets ------------------------------------------------------------
 
@@ -166,12 +182,14 @@ class GroupTable:
     def label(self, i: int) -> str:
         return self.labels[i]
 
+    @cached_property
+    def _label_index(self) -> dict:
+        idx = {}
+        for i, lab in enumerate(self.labels):
+            idx.setdefault(lab, i)
+        return idx
+
     def index_of_label(self, label: str) -> Optional[int]:
-        if self._label_index is None:
-            idx = {}
-            for i, lab in enumerate(self.labels):
-                idx.setdefault(lab, i)
-            self._label_index = idx
         return self._label_index.get(label)
 
     def __repr__(self):
@@ -594,50 +612,13 @@ def central_product_embedding(
 
 
 def conjugacy_classes(G: GroupTable) -> ClassPartition:
-    """Partition into conjugacy classes, ordered by minimal member.
-
-    A class is the orbit of conjugation by G, and so the closure under
-    conjugation by a generating set: n * |gens| lookups, not n^2."""
-    if G._classes is not None:
-        return G._classes
-    n = G.order
-    mult, inv = G.mult, G.inv
-    # conj[y] = g^-1 y g, one index list per generator g
-    conjs = [[mult[w][g] for w in mult[inv[g]]] for g in G.generators]
-    class_of = [-1] * n
-    classes = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        idx = len(classes)
-        class_of[x] = idx
-        mask = 1 << x
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for conj in conjs:
-                z = conj[y]
-                if class_of[z] < 0:
-                    class_of[z] = idx
-                    mask |= 1 << z
-                    stack.append(z)
-        classes.append(Subset(G, mask))
-    part = ClassPartition(G, tuple(classes), tuple(class_of))
-    G._classes = part
-    return part
+    """Partition into conjugacy classes, ordered by minimal member."""
+    return G._classes
 
 
 def center(G: GroupTable) -> Subset:
     """The subset of elements commuting with everything, that is with a
     generating set."""
-    if G._center_mask is None:
-        mult, gens = G.mult, G.generators
-        m = 0
-        for z in range(G.order):
-            row = mult[z]
-            if all(row[g] == mult[g][z] for g in gens):
-                m |= 1 << z
-        G._center_mask = m
     return Subset(G, G._center_mask)
 
 

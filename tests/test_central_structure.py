@@ -9,11 +9,13 @@ from setdirect.catalog import (
     catalog_names,
     central_product_entry,
     cyclic,
+    cyclic_product,
     dihedral,
     quaternion,
     symmetric,
 )
 from setdirect.central import (
+    NORMAL_SUBGROUP_BOUND,
     _certify_central_product,
     central_subgroups,
     class_count_report,
@@ -186,6 +188,15 @@ class TestEnumerateDecompositions:
     def test_order_bound(self):
         with pytest.raises(OrderLimitExceeded):
             enumerate_central_decompositions(cyclic(513))
+
+    def test_normal_subgroup_bound(self):
+        g = cyclic_product([2] * 5)
+        assert len(normal_subgroups(g)) == 374 > NORMAL_SUBGROUP_BOUND
+        with pytest.raises(OrderLimitExceeded, match=f"more than {NORMAL_SUBGROUP_BOUND} normal"):
+            enumerate_central_decompositions(g)
+        # the catalog group with the most normal subgroups
+        assert len(normal_subgroups(catalog_group("Q8oQ8"))) == 68
+        assert len(enumerate_central_decompositions(catalog_group("Q8oQ8"))) == 12
 
 
 class TestZOrbits:

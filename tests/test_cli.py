@@ -93,6 +93,14 @@ class TestInfo:
         assert code == 2
         assert "OrderLimitExceeded" in err and f"order bound {MAX_ORDER}" in err
 
+    def test_too_many_normal_subgroups_print_no_decomposition_count(self, capsys):
+        # C2^6 has 2 825 normal subgroups, and their pairs took minutes
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "info", "C2xC2xC2xC2xC2xC2", "--json")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert json.loads(out)["central_decompositions"] is None
+
     def test_max_order_is_no_option_of_info(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["info", "C4", "--max-order", "100"])

@@ -1,5 +1,6 @@
 """Group construction, classes, centers, products, quotients."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -663,3 +664,22 @@ class TestCatalog:
         assert z.mult[g1][g3] == exponent_index(orders, (1, 0, 1))
         assert z.element_order(g1) == 3
         assert z.element_order(g3) == 2
+
+    @pytest.mark.parametrize(
+        "orders",
+        [[int(p[1:]) for p in name.split("x")] for name in catalog_names() if "x" in name]
+        + [[10, 10, 10]],
+        ids=lambda orders: "x".join(f"C{o}" for o in orders),
+    )
+    def test_cyclic_product_is_exponent_arithmetic(self, orders):
+        g = cyclic_product(orders)
+        exps = np.array(list(itertools.product(*map(range, orders))))  # in index order
+        assert [exponent_index(orders, e) for e in exps.tolist()] == list(range(g.order))
+        weights = [math.prod(orders[i + 1:]) for i in range(len(orders))]
+        mods = np.array(orders)
+        assert (np.array(g.mult) == (exps[:, None] + exps[None, :]) % mods @ weights).all()
+        assert list(g.inv) == ((-exps) % mods @ weights).tolist()
+        assert list(g.labels) == [
+            "*".join(f"g{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(ex) if e)
+            or "1" for ex in exps.tolist()
+        ]
