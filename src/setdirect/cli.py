@@ -33,7 +33,7 @@ from .factor import (
     verify_main_theorem,
 )
 from .groups import GroupTable, Subset, bits, center, conjugacy_classes
-from .oracle import DEFAULT_TIME_BUDGET, enumerate_setdirect, property_suite
+from .oracle import DEFAULT_SAMPLES, DEFAULT_TIME_BUDGET, enumerate_setdirect, property_suite
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("group", nargs="?", default=None)
     sp.add_argument("--all-catalog", action="store_true")
     sp.add_argument("--max-order", dest="max_order_filter", type=int, default=64)
-    sp.add_argument("--samples", type=int, default=120)
+    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sp.add_argument("--verbose", action="store_true")
     sp.add_argument("--time-budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
     sp.add_argument("--seed", type=int, default=0)

@@ -48,8 +48,8 @@ from .groups import (
     Subset,
     SubgroupView,
     _generators,
+    _image,
     _is_subgroup_mask,
-    _ltrans,
     _product_mask,
     bits,
     center,
@@ -248,11 +248,11 @@ def _slices(
         for orbit in action.orbits:
             cmask = part.class_mask(orbit.classes[0])
             m = (cmask & -cmask).bit_length() - 1
-            out[m] = Subset(G, _ltrans(G, inv[m], part_mask) & zm)
+            out[m] = Subset(G, _image(G.mult[inv[m]], part_mask) & zm)
         return out
     seen_masks = set()
     for m in bits(subgroup.mask):
-        smask = _ltrans(G, inv[m], part_mask) & zm
+        smask = _image(G.mult[inv[m]], part_mask) & zm
         if smask not in seen_masks:
             seen_masks.add(smask)
             out[m] = Subset(G, smask)
@@ -336,7 +336,7 @@ def kernel(Zgrp: GroupTable, S: Subset) -> Subset:
     if not S.mask:
         raise EmptySet("kernel of the empty set")
     smask = S.mask
-    return Subset(Zgrp, mask_of(h for h in Zgrp.elements() if _ltrans(Zgrp, h, smask) == smask))
+    return Subset(Zgrp, mask_of(h for h, r in enumerate(Zgrp.mult) if _image(r, smask) == smask))
 
 
 def _factors_directly(G: GroupTable, amask: int, bmask: int, zmask: int) -> bool:
@@ -416,7 +416,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         return tuple(
             i
             for i, (h, s) in enumerate(zip(subgroups, sets))
-            if not s.mask or any(_ltrans(G, g, s.mask) != s.mask for g in gens[h.mask])
+            if not s.mask or any(_image(G.mult[g], s.mask) != s.mask for g in gens[h.mask])
         )
 
     nz = len(sys.z)
@@ -704,9 +704,9 @@ def cyclic_center_factorization(
     if inter.mask != 1 << G.identity:
         return CyclicFactorizationResult(None, inter)
 
-    if any(_ltrans(G, h, X0.mask) != X0.mask for h in bits(comm_m.mask & Z.mask)):
+    if any(_image(G.mult[h], X0.mask) != X0.mask for h in bits(comm_m.mask & Z.mask)):
         raise HypothesisViolated("[M,M] intersect Z does not stabilize X0")
-    if any(_ltrans(G, h, Y0.mask) != Y0.mask for h in bits(comm_n.mask & Z.mask)):
+    if any(_image(G.mult[h], Y0.mask) != Y0.mask for h in bits(comm_n.mask & Z.mask)):
         raise HypothesisViolated("[N,N] intersect Z does not stabilize Y0")
 
     sys = system_for_decomposition(

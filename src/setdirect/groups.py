@@ -67,8 +67,11 @@ class GroupTable:
 
     Construct through the factory functions in this module (or the catalog);
     the constructor itself trusts its arguments.  The structures derived
-    from the table alone are cached properties, computed once per table.
+    from the table alone are cached properties, computed once per table;
+    the fields are slots, fast to load once those fill the __dict__.
     """
+
+    __slots__ = ("order", "mult", "inv", "identity", "labels", "name", "__dict__")
 
     def __init__(self, mult, inv, identity, labels, name="G"):
         self.order = len(mult)
@@ -179,9 +182,6 @@ class GroupTable:
 
     # -- labels -------------------------------------------------------------
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     @cached_property
     def _label_index(self) -> dict:
         idx = {}
@@ -239,7 +239,7 @@ class Subset:
 
     def translate(self, g: int) -> "Subset":
         """Left translate {g*x : x in S}."""
-        return Subset(self.group, _ltrans(self.group, g, self.mask))
+        return Subset(self.group, _image(self.group.mult[g], self.mask))
 
     def __repr__(self):
         shown = ",".join(self.member_labels()[:12])
@@ -268,12 +268,13 @@ class ClassPartition:
 # -- raw mask helpers (hot paths work on ints, not Subset objects) ----------
 
 
-def _ltrans(G: GroupTable, g: int, mask: int) -> int:
-    row = G.mult[g]
+def _image(perm: Sequence[int], mask: int) -> int:
+    """The mask of the perm[x], x in mask: G.mult[g] maps a mask to its left
+    translate by g, and a power map (a tuple of images) to its image."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= 1 << row[low.bit_length() - 1]
+        out |= 1 << perm[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -687,7 +688,7 @@ def _left_cosets(G: GroupTable, hmask: int):
             continue
         idx = len(reps)
         reps.append(g)
-        for y in bits(_ltrans(G, g, hmask)):
+        for y in bits(_image(G.mult[g], hmask)):
             coset_of[y] = idx
     return reps, tuple(coset_of)
 

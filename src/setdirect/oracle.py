@@ -13,10 +13,10 @@ small side X found stands for an orbit:
 - central shifts: for z^-1 in X∩Z, zX is normalized and has the same
   complements Y as X (zX·Y = zG = G, with unique representation);
 - power maps: on an abelian group the maps x -> x^k, k a unit modulo the
-  exponent, are automorphisms (each is checked on the whole multiplication
-  table, at the first split with |X| > 1, as every map fixes X = {1}), and
-  an automorphism s maps a normalized factorization (X, Y) to the
-  normalized factorization (sX, sY).
+  exponent, are automorphisms (each a tuple of images, proved one on the
+  generators, built before the search unless |G| is 1 or prime, as every
+  map fixes X = {1}), and an automorphism s maps a normalized
+  factorization (X, Y) to the normalized factorization (sX, sY).
 So the search takes one small side X per orbit of the shifts composed with
 the power maps, the sets s(zX), and adds the images (zX, Y) and (s(zX), sY)
 of each pair (X, Y) it finds; a non-abelian group with a nontrivial centre
@@ -34,7 +34,8 @@ in pieces), listing, each phase under one deadline.  The pairs are added,
 expanded and listed in bulk, a list comprehension over at most _CHUNK masks
 at a time, and the clock is read before each such step; the search also
 polls it once per candidate X and once per exact-cover state.  The
-candidate volume and the expansion have fixed caps.
+candidate volume, the mask bits the search holds and the expansion have
+fixed caps.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .factor import SetDirectFactorization, is_direct, verify_main_theorem
 from .groups import (
     GroupTable,
     Subset,
+    _image,
     _is_subgroup_mask,
-    _ltrans,
     _product_mask,
     bits,
     center,
@@ -75,8 +76,10 @@ from .groups import (
 )
 
 DEFAULT_TIME_BUDGET = 60.0
+DEFAULT_SAMPLES = 120  # the property suite's random cases per sampled check
 _EXPANSION_CAP = 2_000_000  # ordered shifts |Z|^2 times the normalized pairs
 _CANDIDATE_CAP = 3_000_000  # normalized small sides over all divisor splits
+_HELD_BITS_CAP = 700_000_000  # mask bits held at once; C46 holds 579 million
 
 
 @dataclass
@@ -220,12 +223,14 @@ def _power_maps(G: GroupTable, deadline: _Deadline) -> list:
 
     Each map is a tuple s with s[x] = x^k, the identity map (k = 1) first;
     there are phi(exp G) of them and they form a group under composition.
-    Every map is checked on the whole table to be a bijective homomorphism,
-    each after a read of the deadline's clock.
-    A non-abelian G gets none.
+    Each is checked, after a read of the deadline's clock, to be a bijection
+    with s(a·g) = s(a)·s(g) for every a and each g in G.generators, which
+    generate G: by induction on the length of a word b in them, and
+    associativity (Light's test on a table), s(a·b) = s(a)·s(b), so s is a
+    homomorphism.  A non-abelian G gets none.
     """
     n, mult, one = G.order, G.mult, G.identity
-    if len(conjugacy_classes(G)) != n:
+    if not G.is_abelian:
         return []
     powers = []  # powers[x][j] = x^j, for j below the order of x
     for x in range(n):
@@ -243,34 +248,12 @@ def _power_maps(G: GroupTable, deadline: _Deadline) -> list:
         s = tuple(pw[k % len(pw)] for pw in powers)
         internal_check(len(set(s)) == n, f"x -> x^{k} is not a bijection")
         internal_check(
-            all(mult[sa][s[b]] == s[ab]
-                for sa, row in zip(s, mult) for b, ab in enumerate(row)),
+            all(s[row[g]] == mult[sa][s[g]] for g in G.generators
+                for sa, row in zip(s, mult)),
             f"x -> x^{k} is not a homomorphism",
         )
         maps.append(s)
     return maps
-
-
-def _byte_tables(s) -> tuple:
-    """Lookup tables that map a mask through s a byte at a time: table j
-    sends byte j of a mask (bits 8j..8j+7) to the mask of those bits' images."""
-    n = len(s)
-    tables = []
-    for base in range(0, n, 8):
-        t = [0] * 256
-        for v in range(1, 256):
-            low = v & -v
-            i = base + low.bit_length() - 1
-            t[v] = t[v ^ low] | (1 << s[i] if i < n else 0)
-        tables.append(t)
-    return tuple(tables)
-
-
-def _map_mask(tables, mask: int) -> int:
-    m = 0
-    for t, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-        m |= t[byte]
-    return m
 
 
 def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None:
@@ -290,7 +273,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     built.  The pairs of X and of its orbit's images then go in, and their
     shift weights are tallied, in chunks of at most _CHUNK completions, one
     list comprehension per image; a caller that catches _OutOfTime holds
-    every pair added before the deadline, each with its weight.
+    every pair added before the deadline, each with its weight.  An image is
+    a mask carried through a power map, a tuple, by _image.  Before a list
+    is joined and before X's pairs go in, hold() counts the bits then held,
+    and past _HELD_BITS_CAP raises SearchSpaceTooLarge.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -313,7 +299,15 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     class_of = part.class_of
     zc = center(G).mask
     pairs, weights = found.pairs, found.weights
-    maps = None  # built at the first split with |X| > 1, as X = {1} maps to itself
+    # None stands for the identity map; X = {1}, the one small side of a
+    # prime order, is fixed by every map
+    maps = [None] + (_power_maps(G, deadline)[1:] if len(splits) > 1 else [])
+
+    def hold(completions, new_pairs):  # |G| bits per completion of X, 2|G| per pair
+        held = (completions + 2 * (len(pairs) + new_pairs)) * n
+        if held > _HELD_BITS_CAP:
+            raise SearchSpaceTooLarge(f"{G.name}: the search would hold {held} bits "
+                                      f"of masks, over the cap {_HELD_BITS_CAP}")
 
     @cache
     def class_pair(cx, cy):
@@ -324,12 +318,6 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     id_mask = cmasks[id_class]
     for d, e in splits:
         nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
-        if d > 1 and maps is None:
-            # None stands for the identity map; a non-abelian group gets no others
-            maps = [None]
-            for s in _power_maps(G, deadline)[1:]:
-                deadline.check()
-                maps.append(_byte_tables(s))
         covered_x = set()  # the orbits of earlier X
         for xmask in _class_unions(o_sizes, o_masks, d - sizes[id_class]):
             poll()
@@ -342,17 +330,17 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
             # sX are exactly the (sX, sY).  One map per distinct image; where
             # two maps give one image, the complements of X are closed under
             # either, so they agree.
-            shifts = [_ltrans(G, inv[z], xmask) for z in bits(xmask & zc)]
+            shifts = [_image(mult[inv[z]], xmask) for z in bits(xmask & zc)]
             orbit, images = set(), []
-            for tables in maps or [None]:
+            for s in maps:
                 sxs = []
                 for zx in shifts:
-                    sx = zx if tables is None else _map_mask(tables, zx)
+                    sx = zx if s is None else _image(s, zx)
                     if sx not in orbit:
                         orbit.add(sx)
                         sxs.append(sx)
                 if sxs:
-                    images.append((tables, sxs))
+                    images.append((s, sxs))
             covered_x |= orbit
             x_inv = tuple(inv[x] for x in bits(xmask))
             x_classes = {class_of[x] for x in bits(xmask)}
@@ -381,6 +369,7 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
             # a disjoint one always fits: a cover is complete when it is full.
             columns = [None] * n  # column g: (X * c, c) per usable class c
             ends = {full: [0]}
+            held = 0  # completions in the lists of ends
             succ = {}  # a covered mask being solved: (covered | X * c, c) per step
             stack = [init]  # a mask to solve, or ~mask once its successors are
             while stack:
@@ -389,8 +378,11 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                     covered = ~covered
                     if covered == init:
                         break  # X's own completions are read step by step below
+                    steps = succ.pop(covered)
+                    held += sum(len(ends[nxt]) for nxt, _ in steps)
+                    hold(held, 0)
                     out = []
-                    for nxt, cm in succ.pop(covered):
+                    for nxt, cm in steps:
                         out += [cm | t for piece in _pieces(ends[nxt], deadline)
                                 for t in piece]
                     ends[covered] = out
@@ -414,7 +406,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
 
             # The pairs of X and its images, a chunk of completions at a time;
             # init is never expanded only when it is full, in the trivial group.
-            chunks = ((id_mask | cm, piece) for nxt, cm in succ.get(init, [(init, 0)])
+            firsts = succ.get(init, [(init, 0)])
+            hold(held, sum(len(ends[nxt]) for nxt, _ in firsts)
+                 * sum(len(sxs) for _, sxs in images))
+            chunks = ((id_mask | cm, piece) for nxt, cm in firsts
                       for piece in _pieces(ends[nxt], deadline))
             xz = (xmask & zc).bit_count()  # shifts and power maps keep |X∩Z|, |Y∩Z|
             for y0, piece in chunks:
@@ -423,9 +418,9 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                                "full cover with |X||Y| != |G|")
                 yz = list(map(int.bit_count, [y & zc for y in ys]))
                 every = Counter(yz)
-                for tables, sxs in images:
+                for s, sxs in images:
                     deadline.check()
-                    sys_ = ys if tables is None else [_map_mask(tables, y) for y in ys]
+                    sys_ = ys if s is None else [_image(s, y) for y in ys]
                     for sx in sxs:
                         deadline.check()
                         keys = [sx << n | sy if sx <= sy else sy << n | sx for sy in sys_]
@@ -487,7 +482,7 @@ def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
 
     @cache
     def translates(mask):
-        return [_ltrans(G, z, mask) for z in zs]
+        return [_image(G.mult[z], mask) for z in zs]
 
     for piece in _pieces(pairs, deadline, max(1, _CHUNK // len(zs) ** 2)):
         for v in piece:
@@ -543,17 +538,19 @@ def enumerate_setdirect(
     search accepts a group when its divisor-pruned candidate volume stays
     under a fixed cap (3 million), and a full listing when its |Z|^2 shifts
     of the normalized pairs stay under another (2 million); past either it
-    raises SearchSpaceTooLarge.  The exact cover is memoized on the covered
-    mask, so each partial cover is solved once, and runs as a loop over an
-    explicit stack: no number of classes meets the recursion limit.  It
-    searches one small side X per orbit of the central shifts X -> zX
-    (z^-1 in X∩Z) composed with, on an abelian group, the power maps
-    x -> x^k (k a unit modulo the exponent, each map checked on the table to
-    be an automorphism), and adds the images (zX, Y) and (s(zX), sY) of
-    every pair (X, Y) it finds, in bulk.  Counts (total, nontrivial,
-    normalized) are always exact; the returned list is either
-    all pairs or, with normalized_only, one normalized pair per entry, in
-    ascending order of (min mask, max mask) either way.
+    raises SearchSpaceTooLarge, as it does before the masks it holds, one
+    X's completions and the pairs, would pass 700 million bits: so C2p from
+    C58 up, where X = {1, z} has 2^(p-1) complements.  The exact cover is
+    memoized on the covered mask, so each partial cover is solved once, and
+    runs as a loop over an explicit stack: no number of classes meets the
+    recursion limit.  It searches one small side X per orbit of the central
+    shifts X -> zX (z^-1 in X∩Z) composed with, on an abelian group, the
+    power maps x -> x^k (k a unit modulo the exponent, each map proved an
+    automorphism on the generators), and adds the images (zX, Y) and (s(zX),
+    sY) of every pair (X, Y) it finds, in bulk.  Counts (total, nontrivial,
+    normalized) are always exact; the returned list is either all pairs or,
+    with normalized_only, one normalized pair per entry, in ascending order
+    of (min mask, max mask) either way.
 
     The phases run in the order search, expand (full listing only), sort,
     listing; each pair is one packed int through all of them, and the list
@@ -666,7 +663,7 @@ def _random_normal_subset(G: GroupTable, rng: random.Random) -> Subset:
 def property_suite(
     G: GroupTable,
     *,
-    samples: int = 150,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> SuiteReport:

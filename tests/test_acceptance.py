@@ -31,8 +31,8 @@ from setdirect.factor import (
 )
 from setdirect.groups import (
     Subset,
+    _image,
     _is_subgroup_mask,
-    _ltrans,
     _product_mask,
     bits,
     center,
@@ -87,10 +87,10 @@ def test_a02_simple_groups_empty():
 def _coset_reps_avoiding(z, h_mask, y_members):
     """Cosets of the subgroup with mask h_mask that avoid the cosets of the
     given elements; returns one representative per admissible coset."""
-    excluded = {_ltrans(z, y, h_mask) for y in y_members} | {h_mask}
+    excluded = {_image(z.mult[y], h_mask) for y in y_members} | {h_mask}
     reps, seen = [], set()
     for x in range(z.order):
-        cm = _ltrans(z, x, h_mask)
+        cm = _image(z.mult[x], h_mask)
         if cm in seen or cm in excluded:
             continue
         seen.add(cm)
@@ -111,7 +111,7 @@ def test_a03_obstruction_products_under_18():
     assert len(alphas) == 3
     sizes = []
     for a in alphas:
-        xm = Subset(z, h.mask | _ltrans(z, a, h.mask))
+        xm = Subset(z, h.mask | _image(z.mult[a], h.mask))
         assert len(xm) * len(y) == 18
         prod = _product_mask(z, xm.mask, y.mask)
         sizes.append(prod.bit_count())
@@ -151,7 +151,7 @@ def test_a04_obstruction_products_under_36():
         for trio in combinations(reps, 3):
             xmask = h.mask
             for a in trio:
-                xmask |= _ltrans(z, a, h.mask)
+                xmask |= _image(z.mult[a], h.mask)
             assert xmask.bit_count() * len(y) == 36
             size = _product_mask(z, xmask, y.mask).bit_count()
             worst = max(worst, size)
@@ -268,8 +268,8 @@ def _oracle_membership(G, xm, ym, norm_keys):
     zc = center(G).mask
     for z in bits(zc & xm):
         if (ym >> G.inv[z]) & 1:
-            nx = _ltrans(G, G.inv[z], xm)
-            ny = _ltrans(G, z, ym)
+            nx = _image(G.mult[G.inv[z]], xm)
+            ny = _image(G.mult[z], ym)
             if (min(nx, ny), max(nx, ny)) in norm_keys:
                 return True
     return False
@@ -380,7 +380,7 @@ def _shift_orbit_reps(G, factorizations):
         # that contain 1, the same set from every member of the shift orbit
         got = cache.get(mask)
         if got is None:
-            got = min(_ltrans(G, G.inv[x], mask) for x in bits(mask & zmask))
+            got = min(_image(G.mult[G.inv[x]], mask) for x in bits(mask & zmask))
             cache[mask] = got
         return got
 

@@ -232,6 +232,11 @@ class TestFactorize:
         assert code == 1
         assert json.loads(out) == []
 
+    def test_oracle_over_the_held_masks_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "factorize", "C58", "--method", "oracle")
+        assert code == 2 and out == ""
+        assert "SearchSpaceTooLarge" in err and "Traceback" not in err
+
     def test_oracle_csv(self, capsys):
         code, out, _ = run(
             capsys, "factorize", "C4", "--method", "oracle", "--emit", "csv"
@@ -352,6 +357,11 @@ class TestSuite:
         lines = out.splitlines()
         assert len(lines) == 17 and all(" SKIP " in line for line in lines)
         assert "the run's time budget 0.2s is used up" in lines[-1]
+
+    def test_group_over_the_held_masks_cap_is_skipped(self, capsys):
+        code, out, _ = run(capsys, "suite", "C58")
+        assert code == 0
+        assert out.startswith("C58") and " SKIP " in out and "bits of masks" in out
 
     def test_suite_without_a_group_exit_2(self, capsys):
         code, out, err = run(capsys, "suite", "--samples", "10")

@@ -84,6 +84,17 @@ class TestEnumeration:
         with pytest.raises(SearchSpaceTooLarge):
             enumerate_setdirect(cyclic(64))  # the (8,8) split alone is 5e8
 
+    @pytest.mark.parametrize("name", ["C58", "C1006"])
+    def test_held_masks_bound(self, name):
+        # X = {1, z}, z of order 2, has 2^(|G|/2 - 1) complements, and the
+        # completion lists double at each coset: the search refuses before
+        # they pass the cap, well inside the default budget
+        t0 = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge, match="bits of masks") as info:
+            enumerate_setdirect(catalog_group(name), normalized_only=True)
+        assert not isinstance(info.value, TimeBudgetExceeded)
+        assert time.perf_counter() - t0 <= 5.0
+
     def test_prime_cyclic_over_26_classes_is_fine(self):
         res = enumerate_setdirect(cyclic(31), nontrivial_only=True)
         assert res.factorizations == [] and res.total == 31
@@ -134,6 +145,9 @@ PINNED_NORMALIZED = {
 }
 
 
+PINNED_POWER_MAPS = "a61f29f845a1dc63729575e7ec1c324b9cf29c84f331cbb9079c01e5bfad76fb"
+
+
 def naive_exponent(g):
     orders = []
     for x in range(g.order):
@@ -162,13 +176,16 @@ class TestPowerMapOrbits:
                 for b in range(g.order):
                     assert s[g.mult[a][b]] == g.mult[s[a]][s[b]]
 
-    def test_non_abelian_builds_no_tables(self, monkeypatch):
-        def refuse(s):
-            raise AssertionError("lookup tables built for a non-abelian group")
-
-        monkeypatch.setattr(oracle, "_byte_tables", refuse)
-        for name in ["S4", "D24", "Q8oQ8", "D8oC4"]:
-            enumerate_setdirect(catalog_group(name), normalized_only=True)
+    def test_power_maps_are_pinned(self):
+        # the maps of every abelian catalog group of order <= 64, as they
+        # came when each was checked on the whole table
+        h = hashlib.sha256()
+        for name in catalog_names():
+            g = catalog_group(name)
+            if g.order <= 64 and g.is_abelian:
+                for s in oracle._power_maps(g, oracle._Deadline(60.0)):
+                    h.update(f"{name}:{','.join(map(str, s))}\n".encode())
+        assert h.hexdigest() == PINNED_POWER_MAPS
 
     @pytest.mark.parametrize("name", sorted(PINNED_NORMALIZED))
     def test_listed_pairs_are_the_normalized_factorizations(self, name):
@@ -397,14 +414,8 @@ class TestTimeBudget:
         assert not isinstance(info.value, TimeBudgetExceeded)
 
     def test_power_map_checks_read_the_clock(self):
-        # the split (2, 503) needs 502 maps, each checked on all 1 012 036
-        # entries of the table
-        g = cyclic(1006)
-        t0 = time.perf_counter()
-        with pytest.raises(TimeBudgetExceeded) as info:
-            enumerate_setdirect(g, normalized_only=True, time_budget=1.0)
-        assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
-        assert info.value.phase == "search"
+        with pytest.raises(oracle._OutOfTime):
+            oracle._power_maps(cyclic(1006), oracle._Deadline(0.0))
 
     def test_search_deeper_than_the_stack_reads_the_clock(self):
         # X = {1} leaves Y = G, a cover 997 classes deep; a prime order has
