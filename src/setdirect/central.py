@@ -158,14 +158,20 @@ def normal_subgroups(G: GroupTable):
 
 
 def minimal_normal_subgroups(G: GroupTable):
-    """Minimal nontrivial normal subgroups."""
+    """Minimal nontrivial normal subgroups, sorted by (size, mask).
+
+    The subgroup <C> generated by a conjugacy class C is normal, as every
+    conjugation permutes C.  A nontrivial class C inside a minimal normal
+    subgroup M generates a nontrivial normal subgroup of M, so M itself.
+    So the minimal normal subgroups are the minimal elements of the family
+    of <C>, C a nontrivial class, and the lattice of normal subgroups is
+    never built.
+    """
     trivial = 1 << G.identity
-    props = [s for s in normal_subgroups(G) if s.mask != trivial]
-    return [
-        s
-        for s in props
-        if not any(t.mask != s.mask and t.mask & ~s.mask == 0 for t in props)
-    ]
+    generated = sorted({_closure_mask(G, cls.mask) for cls in conjugacy_classes(G).classes
+                        if cls.mask != trivial}, key=lambda m: (m.bit_count(), m))
+    return [Subset(G, m) for m in generated
+            if not any(t != m and t & ~m == 0 for t in generated)]
 
 
 def central_subgroups(G: GroupTable):

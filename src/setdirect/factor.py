@@ -161,16 +161,6 @@ def _disjoint(translates) -> bool:
     return True
 
 
-def _right_translates(G: GroupTable, xmem: tuple, ymem: tuple):
-    """The masks Xy, y in ymem, one at a time."""
-    mult = G.mult
-    for y in ymem:
-        t = 0
-        for x in xmem:
-            t |= 1 << mult[x][y]
-        yield t
-
-
 def _left_translates(G: GroupTable, xmem: tuple, ymem: tuple):
     """The masks xY, x in xmem, one at a time."""
     mult = G.mult
@@ -192,7 +182,7 @@ def _directness(
     multiplicity_ok = _unique_products(G, xmem, ymem)
     difference_ok = _differences_meet_trivially(G, xmem, ymem)
     partition_ok = (
-        _disjoint(_right_translates(G, xmem, ymem))  # {Xy}
+        _disjoint(_left_translates(G, ymem, xmem))  # {yX} = {Xy}: X is normal
         or _disjoint(_left_translates(G, xmem, ymem))  # {xY}
     )
     size = len(xmem) * len(ymem)
@@ -641,9 +631,10 @@ class CyclicFactorizationResult:
 
 
 def _is_cyclic_subgroup(G: GroupTable, S: Subset) -> bool:
-    return any(
-        generated_subgroup(G, G.singleton(x)).mask == S.mask for x in bits(S.mask)
-    )
+    """Whether the subgroup S is cyclic: whether one of its elements has
+    order |S|."""
+    size = S.mask.bit_count()
+    return any(G.element_order(x) == size for x in bits(S.mask))
 
 
 def _self_commutators(G: GroupTable, S: Subset) -> Subset:

@@ -3,13 +3,14 @@
 enumerate_setdirect finds every pair of normal subsets (X, Y) with XY = G
 and unique representation, straight from the definition: candidates are
 unions of conjugacy classes, and the identity-normalized pairs are found by
-an exact-cover search.  The small sides X come as union masks, in the
-lexicographic order of their classes.  The cover of G by products X·c is
-memoized on the covered mask: one flat post-order loop solves each covered
-mask once, into the list of class unions that complete it (empty for a dead
-end), with one column per element g (the classes c with g in X·c and X·c
-direct), built the first time g is the lowest uncovered element.  Each
-small side X found stands for an orbit:
+an exact-cover search; no search here recurses.  The small sides X come as
+union masks, in the lexicographic order of their classes, from one loop over
+a stack.  The cover of G by products X·c is memoized on the covered mask:
+one flat post-order loop solves each covered mask once, into the list of
+class unions that complete it (empty for a dead end), with one column per
+element g (the classes c with g in X·c and X·c direct), built the first
+time g is the lowest uncovered element.  Each small side X found stands for
+an orbit:
 - central shifts: for z^-1 in X∩Z, zX is normalized and has the same
   complements Y as X (zX·Y = zG = G, with unique representation);
 - power maps: on an abelian group the maps x -> x^k, k a unit modulo the
@@ -22,8 +23,10 @@ the power maps, the sets s(zX), and adds the images (zX, Y) and (s(zX), sY)
 of each pair (X, Y) it finds; a non-abelian group with a nontrivial centre
 has the shifts alone.  Every other factorization is a shift (zX, wY) of a
 normalized one by central elements z, w, and shifting preserves directness.
-The totals follow from the normalized pairs in closed form (each unordered
-normalized pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) unordered factorizations); the
+The totals follow from the normalized pairs in closed form: each unordered
+normalized pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) unordered factorizations,
+so the search counts the pairs by that one weight |X∩Z| |Y∩Z|, and the
+nontrivial count is the total less the |Z| shifts ({z}, G) of ({1}, G).  The
 shifts themselves are built only for a full listing.  Nothing here consults
 the structural verifier.
 
@@ -46,7 +49,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, takewhile
@@ -66,12 +69,12 @@ from .groups import (
     Subset,
     _image,
     _is_subgroup_mask,
+    _left_cosets,
     _product_mask,
     bits,
     center,
     commutator_set,
     conjugacy_classes,
-    left_cosets,
     mask_of,
 )
 
@@ -123,23 +126,29 @@ def _divisor_splits(n: int):
 
 def _class_unions(sizes, masks, target):
     """Yield the unions of classes (parallel lists of sizes and masks) whose
-    sizes sum to target, in lexicographic order of their index tuples."""
+    sizes sum to target, in lexicographic order of their index tuples.
+
+    One loop over a stack of (next class, size still wanted, union so far):
+    a state that wants nothing more is a union, and any other pushes the
+    states that add one more class, in reverse, so they come off in order.
+    """
     n = len(sizes)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
-
-    def rec(start, left, mask):
+    stack = [(0, target, 0)]
+    while stack:
+        start, left, mask = stack.pop()
+        if not left:
+            yield mask
+            continue
+        children = []
         for i in range(start, n):
             if suffix[i] < left:
-                return
-            s = sizes[i]
-            if s < left:
-                yield from rec(i + 1, left - s, mask | masks[i])
-            elif s == left:
-                yield mask | masks[i]
-
-    yield from rec(0, target, 0) if target else (0,)  # (0,): the empty union
+                break
+            if sizes[i] <= left:
+                children.append((i + 1, left - sizes[i], mask | masks[i]))
+        stack += reversed(children)
 
 
 def _count_subsets_by_size(sizes):
@@ -149,20 +158,6 @@ def _count_subsets_by_size(sizes):
         for total, cnt in sorted(counts.items(), reverse=True):
             counts[total + s] = counts.get(total + s, 0) + cnt
     return counts
-
-
-@dataclass
-class _Found:
-    """Unordered normalized pairs met so far, with their shift weights.
-
-    pairs holds each pair of masks lo <= hi as the int lo << |G| | hi.
-    weights maps (|X∩Z| |Y∩Z|, nontrivial) to the number of unordered
-    normalized pairs with that product; it is tallied as the pairs go in, so
-    the counts cost no pass over the pairs afterwards.
-    """
-
-    pairs: set = field(default_factory=set)
-    weights: Counter = field(default_factory=Counter)
 
 
 _CHUNK = 4096  # masks per bulk step; the clock is read before each step
@@ -256,12 +251,16 @@ def _power_maps(G: GroupTable, deadline: _Deadline) -> list:
     return maps
 
 
-def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None:
-    """Put every unordered normalized factorization pair, packed, into `found`.
+def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: Counter) -> None:
+    """Put every unordered normalized factorization pair into `pairs`, each
+    pair of masks lo <= hi as the int lo << |G| | hi, and count it in
+    `weights` under its shift weight |X∩Z| |Y∩Z|, as it goes in.
 
-    Each candidate X (a union of classes holding the identity) whose
-    orbit no earlier X covers is completed by Knuth's exact cover, memoized
-    on the covered mask: ends[covered] lists the unions of classes that
+    The splits |X| |Y| = |G| are searched in ascending |X|, so the first
+    pair in is ({1}, G).  Each candidate X (a union of classes holding the
+    identity, in the order of _class_unions) whose orbit no earlier X covers
+    is completed by Knuth's exact cover, memoized on the covered mask:
+    ends[covered] lists the unions of classes that
     complete that cover, so two partial Y that cover the same elements are
     solved once.  A flat post-order loop fills it: the lowest uncovered
     element g of a covered mask picks the column of classes c, and each c
@@ -298,7 +297,6 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     mult, inv = G.mult, G.inv
     class_of = part.class_of
     zc = center(G).mask
-    pairs, weights = found.pairs, found.weights
     # None stands for the identity map; X = {1}, the one small side of a
     # prime order, is fixed by every map
     maps = [None] + (_power_maps(G, deadline)[1:] if len(splits) > 1 else [])
@@ -317,7 +315,6 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
     o_masks = [cmasks[c] for c in others]
     id_mask = cmasks[id_class]
     for d, e in splits:
-        nontrivial = d > 1 and e > 1  # |X| = d, |Y| = e
         covered_x = set()  # the orbits of earlier X
         for xmask in _class_unions(o_sizes, o_masks, d - sizes[id_class]):
             poll()
@@ -434,7 +431,7 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, found: _Found) -> None
                                            "a pair with |X| != |Y| was met twice")
                             tally = every
                         for z, cnt in tally.items():
-                            weights[xz * z, nontrivial] += cnt
+                            weights[xz * z] += cnt
         del covered_x  # a later split has another |X|, so none of it recurs
 
 
@@ -452,19 +449,19 @@ def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
     central, where cx = 1·(cx) = x·c has two representations for each
     x != 1 in X; so X = {1}, the group is trivial, and ({1}, {1}) its one
     pair.
+
+    A normalized side of size 1 is {1}, whose one complement is G, so the
+    trivial factorizations are the |Z| shifts ({z}, G) of ({1}, G), and
+    nontrivial = total - |Z|.  A partial tally with total > 0 holds that
+    pair too: the split (1, |G|) is searched first, and its one candidate
+    X = {1} adds ({1}, G) before any other pair.  So total - |Z| stays a
+    lower bound.  The trivial group's ({1}, {1}) gives total 1, nontrivial 0.
     """
-    zz = center(G).mask.bit_count() ** 2
-
-    def total(nontrivial_only):
-        got = sum(
-            (Fraction(zz * cnt, w) for (w, nt), cnt in weights.items()
-             if nt or not nontrivial_only),
-            Fraction(0),
-        )
-        internal_check(got.denominator == 1, "shift orbits do not sum to a whole count")
-        return got.numerator
-
-    return total(False), total(True)
+    nz = center(G).mask.bit_count()
+    got = sum((Fraction(nz * nz * cnt, w) for w, cnt in weights.items()), Fraction(0))
+    internal_check(got.denominator == 1, "shift orbits do not sum to a whole count")
+    total = got.numerator
+    return total, total - nz if total else 0
 
 
 def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
@@ -548,9 +545,11 @@ def enumerate_setdirect(
     power maps x -> x^k (k a unit modulo the exponent, each map proved an
     automorphism on the generators), and adds the images (zX, Y) and (s(zX),
     sY) of every pair (X, Y) it finds, in bulk.  Counts (total, nontrivial,
-    normalized) are always exact; the returned list is either all pairs or,
-    with normalized_only, one normalized pair per entry, in ascending order
-    of (min mask, max mask) either way.
+    normalized) are always exact: total sums the shift orbits of the
+    normalized pairs, counted by their weights |X∩Z| |Y∩Z|, and nontrivial
+    is total - |Z|, less the trivial factorizations ({z}, G).  The returned
+    list is either all pairs or, with normalized_only, one normalized pair
+    per entry, in ascending order of (min mask, max mask) either way.
 
     The phases run in the order search, expand (full listing only), sort,
     listing; each pair is one packed int through all of them, and the list
@@ -559,16 +558,17 @@ def enumerate_setdirect(
     On a time-out TimeBudgetExceeded.phase names the phase it ran out in,
     and TimeBudgetExceeded.partial holds the normalized pairs found so far
     as `normalized`, and `total`/`nontrivial` summed over those pairs: lower
-    bounds of the exact counts.  Its list of factorizations is empty.  A
-    NaN or negative time_budget raises GroupError.
+    bounds of the exact counts, both 0 before any pair is found.  Its list
+    of factorizations is empty.  A NaN or negative time_budget raises
+    GroupError.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
-    found = _Found()
+    pairs, weights = set(), Counter()
     phase = "search"
     try:
-        _normalized_pairs(G, deadline, found)
-        listed = found.pairs
+        _normalized_pairs(G, deadline, pairs, weights)
+        listed = pairs
         if not normalized_only:
             phase = "expand"
             listed = _expand(G, listed, deadline)
@@ -582,9 +582,9 @@ def enumerate_setdirect(
         facts = _factorization_list(G, listed, deadline)
     except _OutOfTime:
         facts = None  # raised below, so the exception keeps no search frame as context
-    total, nontrivial = _orbit_counts(G, found.weights)
+    total, nontrivial = _orbit_counts(G, weights)
     result = EnumerationResult(
-        G.name, facts or [], total, nontrivial, len(found.pairs), time.perf_counter() - start
+        G.name, facts or [], total, nontrivial, len(pairs), time.perf_counter() - start
     )
     if facts is not None:
         return result
@@ -607,7 +607,7 @@ def find_normal_transversal(G: GroupTable, Z: Subset) -> Optional[Subset]:
     if not _is_subgroup_mask(G, Z.mask) or Z.mask & ~center(G).mask:
         raise NotCentral("transversal search needs a central subgroup")
     part = conjugacy_classes(G)
-    reps, coset_of = left_cosets(G, Z)
+    reps, coset_of = _left_cosets(G, Z.mask)
     full = (1 << len(reps)) - 1
     by_coset = [[] for _ in reps]  # the classes meeting each coset once
     class_cosets = []  # per class, the mask of its cosets if it meets each once

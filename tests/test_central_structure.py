@@ -146,6 +146,16 @@ class TestNormalSubgroups:
         assert len(mins) == 1
         assert mins[0].members() == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize(
+        "name", [n for n in catalog_names() if catalog_group(n).order <= 64]
+    )
+    def test_minimal_normal_are_the_minimal_of_the_lattice(self, name):
+        g = catalog_group(name)
+        trivial = 1 << g.identity
+        props = [s.mask for s in normal_subgroups(g) if s.mask != trivial]
+        reference = [m for m in props if not any(t != m and t & ~m == 0 for t in props)]
+        assert [s.mask for s in minimal_normal_subgroups(g)] == reference
+
 
 class TestEnumerateDecompositions:
     def test_s3_only_trivial(self):

@@ -52,6 +52,21 @@ def test_no_module_imports_the_command_line(module):
     assert "cli" not in _imports(module)
 
 
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        # the listing's result type and the property suite's cross-checks
+        ("factor", {"SetDirectFactorization", "is_direct", "verify_main_theorem"}),
+        ("central", {"class_stabilizer", "minimal_normal_subgroups"}),
+    ],
+)
+def test_oracle_borrows_only_its_cross_checks(source, names):
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    got = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+           and node.module in (source, f"setdirect.{source}") for a in node.names}
+    assert got == names
+
+
 def test_every_module_is_read():
     assert {"errors", "groups", "catalog", "central", "factor", "oracle", "cli"} <= set(MODULES)
     assert _imports("oracle") >= {"groups"}  # the parser sees relative imports

@@ -9,6 +9,7 @@ import random
 import sys
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -413,6 +414,15 @@ class TestTimeBudget:
                                 time_budget=budget)
         assert not isinstance(info.value, TimeBudgetExceeded)
 
+    @pytest.mark.parametrize("name", ["C1", "C2", "Q8oC4", "C12"])
+    def test_zero_budget_finds_nothing(self, name):
+        # the deadline is read before the first pair, ({1}, G), goes in
+        with pytest.raises(TimeBudgetExceeded) as info:
+            enumerate_setdirect(catalog_group(name), time_budget=0.0)
+        assert info.value.phase == "search"
+        partial = info.value.partial
+        assert (partial.total, partial.nontrivial, partial.normalized) == (0, 0, 0)
+
     def test_power_map_checks_read_the_clock(self):
         with pytest.raises(oracle._OutOfTime):
             oracle._power_maps(cyclic(1006), oracle._Deadline(0.0))
@@ -442,12 +452,12 @@ class TestTimeBudget:
             def poll(self):
                 pass
 
-        found = oracle._Found()
+        pairs = set()
         t0 = time.perf_counter()
         with pytest.raises(oracle._OutOfTime):
-            oracle._normalized_pairs(catalog_group("C45"), NoPoll(1.0), found)
+            oracle._normalized_pairs(catalog_group("C45"), NoPoll(1.0), pairs, Counter())
         assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
-        assert found.pairs
+        assert pairs
 
     def test_search_does_not_recurse(self):
         g = catalog_group("C30")
