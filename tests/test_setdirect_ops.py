@@ -161,6 +161,64 @@ class TestVerifyMainTheorem:
         assert any(not s.mask for s in rep.x_slices.values()) or rep.b_witness
 
 
+def _sized_class_union(part, size, rng):
+    """A union of classes of exactly `size` elements holding the identity
+    class, taken greedily over the classes in random order; None if the
+    greedy pass misses the size."""
+    order = list(range(1, len(part)))
+    rng.shuffle(order)
+    mask, left = part.class_mask(0), size - len(part.classes[0])
+    for c in order:
+        if 0 < len(part.classes[c]) <= left:
+            mask |= part.class_mask(c)
+            left -= len(part.classes[c])
+    return mask if left == 0 else None
+
+
+def _verifier_pairs(G, rng):
+    """Normalized class unions with |X||Y| = |G| (the positives among
+    them), arbitrary class unions (mostly negative), and (G, {1}), ({1}, G)."""
+    part = conjugacy_classes(G)
+    k, n = len(part), G.order
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    pairs = []
+    for _ in range(60):
+        d = rng.choice(divisors)
+        x, y = _sized_class_union(part, d, rng), _sized_class_union(part, n // d, rng)
+        if x is not None and y is not None:
+            pairs.append((x, y))
+    for _ in range(60):
+        pairs.append(tuple(mask_of(e for c in rng.sample(range(k), rng.randint(1, k))
+                                   for e in part.classes[c]) for _ in "xy"))
+    one = 1 << G.identity
+    return pairs + [(G.full_mask, one), (one, G.full_mask)]
+
+
+def test_verifier_reports_are_pinned():
+    # every report field of verify_main_theorem and is_direct, the slices in
+    # their order, on seeded class-union pairs of every catalog group of
+    # order <= 32; SHA-256 taken when each slice pair, system product and
+    # difference were computed one index pair at a time
+    digest, pairs, positive = hashlib.sha256(), 0, 0
+    for name in SMALL_CATALOG:
+        G = catalog_group(name)
+        rng = random.Random(f"verifier {name}")
+        for xm, ym in _verifier_pairs(G, rng):
+            X, Y = Subset(G, xm), Subset(G, ym)
+            r = verify_main_theorem(G, X, Y)
+            slices = [[(m, s.mask) for m, s in side.items()]
+                      for side in (r.x_slices, r.y_slices)]
+            digest.update(
+                f"{name} {xm} {ym} {r.m.mask} {r.n.mask} {r.z.mask} {r.condition_a} "
+                f"{r.central_failure} {slices} {r.condition_b} {r.b_witness} "
+                f"{r.product_is_group} {r.verdict} {is_direct(G, X, Y)!r}\n".encode())
+            pairs += 1
+            positive += r.verdict
+    assert (pairs, positive) == (7064, 2516)
+    assert digest.hexdigest() == (
+        "bc98ab8db33ec58a4f8009834d7645bea58e0fc882da5a4ff366e22ec7515b9a")
+
+
 def _directness_pairs(G, rng):
     """Oracle-listed positive pairs in both orders, random class unions
     (mostly negative), and pairs with |X||Y| > |G|."""
