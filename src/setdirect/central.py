@@ -145,7 +145,7 @@ def _join_closure(G: GroupTable, generators, bound=math.inf):
                         new.add(j)
                         if len(found) > bound:
                             raise OrderLimitExceeded(
-                                f"decomposition enumeration bound: {G.name} has more "
+                                f"normal subgroup bound: {G.name} has more "
                                 f"than {bound} normal subgroups"
                             )
         frontier = new
@@ -153,8 +153,11 @@ def _join_closure(G: GroupTable, generators, bound=math.inf):
 
 
 def normal_subgroups(G: GroupTable):
-    """All normal subgroups, via join-closure of class-generated subgroups."""
-    return _join_closure(G, (cls.mask for cls in conjugacy_classes(G).classes))
+    """All normal subgroups, via join-closure of class-generated subgroups;
+    OrderLimitExceeded once more than NORMAL_SUBGROUP_BOUND are found."""
+    return _join_closure(
+        G, (cls.mask for cls in conjugacy_classes(G).classes), NORMAL_SUBGROUP_BOUND
+    )
 
 
 def minimal_normal_subgroups(G: GroupTable):
@@ -192,9 +195,7 @@ def enumerate_central_decompositions(G: GroupTable):
         raise OrderLimitExceeded(
             f"decomposition enumeration bound {ENUMERATION_BOUND} exceeded by {G.name}"
         )
-    subs = _join_closure(
-        G, (cls.mask for cls in conjugacy_classes(G).classes), NORMAL_SUBGROUP_BOUND
-    )
+    subs = normal_subgroups(G)
     out = []
     for i, M in enumerate(subs):
         for N in subs[i:]:

@@ -117,8 +117,9 @@ def is_direct(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
     Each criterion stops at its answer:
     - multiplicity takes the products x*y one at a time, up to the first
       element hit twice;
-    - difference builds the smaller of XX^-1 and YY^-1 and scans the other
-      up to the first non-identity element they share;
+    - difference builds the smaller of XX^-1 and YY^-1, then translates the
+      other side by one element per class of it, or scans the other
+      difference set when that is cheaper (_differences_meet_trivially);
     - partition lays down the translates {Xy} up to the first overlap, and
       tries {xY} only when {Xy} fails;
     - cardinality is False by pigeonhole when |X||Y| > |G|, and otherwise
@@ -142,12 +143,30 @@ def _unique_products(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
 
 
 def _differences_meet_trivially(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
-    inv = G.inv
+    """Whether SS^-1 and LL^-1 meet only at 1, S the smaller side.
+
+    D = SS^-1 minus 1 is built in full; it is a normal set, as S is.  LL^-1
+    meets D iff dL meets L for some d in D, since l1 l2^-1 = d means
+    l1 = d l2.  Conjugating by g maps dL intersect L onto d^g L intersect L,
+    as L is normal, so one d per class of D decides: L is translated by one
+    representative per class when D has fewer classes than L has elements,
+    and LL^-1 is scanned otherwise.
+    """
+    inv, mult = G.inv, G.mult
     small, large = sorted((xmem, ymem), key=len)
     built = 0
     for t in _left_translates(G, small, tuple(inv[b] for b in small)):
         built |= t
     built &= ~(1 << G.identity)
+    part, nl = conjugacy_classes(G), len(large)
+    classes, class_of, reps, rest = part.classes, part.class_of, [], built
+    while rest and len(reps) < nl:
+        d = (rest & -rest).bit_length() - 1
+        reps.append(d)
+        rest &= ~classes[class_of[d]].mask
+    if len(reps) < nl:  # so rest is 0: reps has every class of D
+        lmask = mask_of(large)
+        return not any(_image(mult[d], lmask) & lmask for d in reps)
     scan = _left_translates(G, large, tuple(inv[b] for b in large))
     return not any(t & built for t in scan)
 
@@ -228,17 +247,24 @@ def _slices(
     With a central Z, `action` holds its orbits on the classes inside the
     subgroup: the slice depends only on the conjugacy class of m, and slices
     at classes in the same Z-orbit are translates of one another, so one
-    representative per Z-orbit suffices.  Otherwise (`action` None) slices
+    representative per Z-orbit suffices; its slice is read from Z as
+    {z in Z : m z in X}, |Z| lookups.  Otherwise (`action` None) slices
     are deduplicated by their actual value.
     """
     part = conjugacy_classes(G)
     inv, zm = G.inv, Z.mask
     out = {}
     if action is not None:
+        zmem = Z.members()
         for orbit in action.orbits:
             cmask = part.class_mask(orbit.classes[0])
             m = (cmask & -cmask).bit_length() - 1
-            out[m] = Subset(G, _image(G.mult[inv[m]], part_mask) & zm)
+            row = G.mult[m]
+            smask = 0
+            for z in zmem:
+                if part_mask >> row[z] & 1:
+                    smask |= 1 << z
+            out[m] = Subset(G, smask)
         return out
     seen_masks = set()
     for m in bits(subgroup.mask):
@@ -254,8 +280,9 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
 
     Condition (a): G is the central product of M = <X> and N = <Y> over
     Z = M intersect N.  Condition (b): Z = X_m x Y_n for every m in M and
-    n in N, with slices deduplicated per (conjugacy class, Z-coset); an empty
-    slice is an explicit condition-(b) failure with a witness.  The verdict
+    n in N, with slices deduplicated per (conjugacy class, Z-coset) and each
+    distinct pair of slice masks tested once; an empty slice is an explicit
+    condition-(b) failure with a witness.  The verdict
     (a and b) is asserted to coincide with direct-and-product-covers-G;
     XY = G is read from the product the cardinality criterion built, and
     built here only when that criterion decided by pigeonhole.
@@ -277,9 +304,16 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     x_slices = _slices(G, M, X.mask, Z, m_action)
     y_slices = _slices(G, N, Y.mask, Z, n_action)
 
+    # each distinct slice pair once, in the slices' order: the first failing
+    # (m, n) has the first m with its x-slice and the first n with its
+    # y-slice, so it is the first failure among those keys
+    x_first, y_first = {}, {}
+    for first, slices in ((x_first, x_slices), (y_first, y_slices)):
+        for key, s in slices.items():
+            first.setdefault(s.mask, key)
     b_witness = next(
-        ((m, n) for m, xs in x_slices.items() for n, ys in y_slices.items()
-         if not _factors_directly(G, xs.mask, ys.mask, Z.mask)),
+        ((m, n) for xm, m in x_first.items() for ym, n in y_first.items()
+         if not _factors_directly(G, xm, ym, Z.mask)),
         None,
     )
     condition_b = b_witness is None
@@ -374,10 +408,13 @@ class SystemReport:
 def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
     """Check the defining conditions for every (i, j) plus the corollaries.
 
-    M_i <= K(A_i) is tested on a generating set of M_i, as K(A_i) is a
-    subgroup: a translate per generator, and none for a trivial M_i.  A
-    system whose definitions pass but whose arithmetic corollaries fail is
-    an internal inconsistency and raises.
+    Z = A_i x B_j is tested once per distinct pair of masks and reported at
+    every (i, j) where it fails; the separation test |SH| = |S||H| runs once
+    per distinct (set, subgroup) pair.  M_i <= K(A_i) is tested on a
+    generating set of M_i, as K(A_i) is a subgroup: a translate per
+    generator, and none for a trivial M_i.  A system whose definitions pass
+    but whose arithmetic corollaries fail is an internal inconsistency and
+    raises.
     """
     G, zmask = sys.z.group, sys.z.mask
     if not _is_subgroup_mask(G, zmask):
@@ -410,11 +447,15 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         )
 
     nz = len(sys.z)
+    a_masks = [a.mask for a in sys.a_sets]
+    b_masks = [b.mask for b in sys.b_sets]
+    direct = {(a, b): _factors_directly(G, a, b, zmask)
+              for a in set(a_masks) for b in set(b_masks)}
     product_failures = [
         (i, j)
-        for i, a in enumerate(sys.a_sets)
-        for j, b in enumerate(sys.b_sets)
-        if not _factors_directly(G, a.mask, b.mask, zmask)
+        for i, a in enumerate(a_masks)
+        for j, b in enumerate(b_masks)
+        if not direct[a, b]
     ]
     kernel_failures_a = kernel_failures(sys.m_subgroups, sys.a_sets)
     kernel_failures_b = kernel_failures(sys.n_subgroups, sys.b_sets)
@@ -436,10 +477,13 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
 
     # the cosets aH, a in A, are distinct iff |AH| = |A||H|
     separation_ok = all(
-        _product_mask(G, s.mask, h.mask).bit_count() == len(s) * len(h)
-        for sets, subgroups in ((sys.a_sets, sys.n_subgroups), (sys.b_sets, sys.m_subgroups))
-        for s in sets
-        for h in subgroups
+        _product_mask(G, s, h).bit_count() == s.bit_count() * h.bit_count()
+        for s, h in {
+            (s.mask, h.mask)
+            for sets, subgroups in ((sys.a_sets, sys.n_subgroups), (sys.b_sets, sys.m_subgroups))
+            for s in sets
+            for h in subgroups
+        }
     )
 
     one = 1 << G.identity

@@ -607,10 +607,14 @@ class TestPropertySuite:
         assert info.value.partial.passed
 
     def test_huge_sample_count_ends_in_its_check(self):
+        # the oracle and the three checks before the sampled one take about
+        # 1 ms on C4 (all seven checks with one sample: 0.9-1.2 ms); the
+        # budget leaves room for a pause of the host or the collector
+        gc.collect()
         t0 = time.perf_counter()
         with pytest.raises(TimeBudgetExceeded) as info:
-            property_suite(cyclic(4), samples=10**14, time_budget=0.1)
-        assert time.perf_counter() - t0 <= 0.1 + BUDGET_MARGIN_S
+            property_suite(cyclic(4), samples=10**14, time_budget=0.5)
+        assert time.perf_counter() - t0 <= 0.5 + BUDGET_MARGIN_S
         assert info.value.phase == "criteria_agree_on_samples"
         assert len(info.value.partial.checks) == 4
 

@@ -262,6 +262,64 @@ class TestDirectnessAgainstReference:
             assert (False, True) in seen
 
 
+class TestDifferenceCriterion:
+    """_differences_meet_trivially against XX^-1 intersect YY^-1 = {1},
+    and the branch it takes: translates of the larger side L by one element
+    per class of D = SS^-1 minus 1 when D has fewer classes than L has
+    elements, a scan of LL^-1 (a second _left_translates call) otherwise."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = [0]
+        wrapped = getattr(factor, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(factor, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "D10", "A4", "Q8oC4"])
+    def test_matches_the_definition(self, name, monkeypatch):
+        G = catalog_group(name)
+        part = conjugacy_classes(G)
+        mult, inv, one = G.mult, G.inv, G.identity
+        k = len(part)
+        # every class union; on Q8oC4 (10 classes, 8.3 s for every pair) the
+        # unions that hold 1, in unordered pairs: a union meeting the centre
+        # in z has the difference set of the normalized union z^-1 X
+        first = 1 if name == "Q8oC4" else 0
+        unions = [tuple(sorted(e for c in (0,) * first + picked for e in part.classes[c]))
+                  for r in range(1 - first, k - first + 1)
+                  for picked in itertools.combinations(range(first, k), r)]
+        diffs = [{mult[a][inv[b]] for a in u for b in u} for u in unions]
+        translates = self._counting(monkeypatch, "_left_translates")
+        branches = set()
+        for i, xs in enumerate(unions):
+            for j in range(i if first else 0, len(unions)):
+                ys = unions[j]
+                translates[0] = 0
+                got = factor._differences_meet_trivially(G, xs, ys)
+                assert got == (diffs[i] & diffs[j] == {one}), (xs, ys)
+                small, large = sorted((i, j), key=lambda t: len(unions[t]))
+                d_classes = {part.class_of[d] for d in diffs[small] - {one}}
+                scanned = translates[0] == 2
+                assert scanned == (len(d_classes) >= len(unions[large])), (xs, ys)
+                branches.add(scanned)
+        assert branches == ({False, True} if name == "Q8oC4" else {False})
+
+    def test_group_times_identity_scans_nothing(self, monkeypatch):
+        G = symmetric(5)
+        translates = self._counting(monkeypatch, "_left_translates")
+        images = self._counting(monkeypatch, "_image")
+        full, one = G.full_subset().members(), (G.identity,)
+        assert factor._differences_meet_trivially(G, full, one)
+        assert factor._differences_meet_trivially(G, one, full)
+        # each call builds only D = {1}{1}^-1 minus 1, which is empty
+        assert (translates[0], images[0]) == (2, 0)
+
+
 class TestKernel:
     def test_full_set(self):
         z = cyclic(6)
