@@ -148,25 +148,20 @@ def _differences_meet_trivially(G: GroupTable, xmem: tuple, ymem: tuple) -> bool
     D = SS^-1 minus 1 is built in full; it is a normal set, as S is.  LL^-1
     meets D iff dL meets L for some d in D, since l1 l2^-1 = d means
     l1 = d l2.  Conjugating by g maps dL intersect L onto d^g L intersect L,
-    as L is normal, so one d per class of D decides: L is translated by one
-    representative per class when D has fewer classes than L has elements,
-    and LL^-1 is scanned otherwise.
+    as L is normal, so one d per class of D decides: L is translated by the
+    minimal member of each class of D when D has fewer classes than L has
+    elements, and LL^-1 is scanned otherwise.
     """
-    inv, mult = G.inv, G.mult
+    inv = G.inv
     small, large = sorted((xmem, ymem), key=len)
     built = 0
     for t in _left_translates(G, small, tuple(inv[b] for b in small)):
         built |= t
     built &= ~(1 << G.identity)
-    part, nl = conjugacy_classes(G), len(large)
-    classes, class_of, reps, rest = part.classes, part.class_of, [], built
-    while rest and len(reps) < nl:
-        d = (rest & -rest).bit_length() - 1
-        reps.append(d)
-        rest &= ~classes[class_of[d]].mask
-    if len(reps) < nl:  # so rest is 0: reps has every class of D
+    reps = built & conjugacy_classes(G).leaders
+    if reps.bit_count() < len(large):
         lmask = mask_of(large)
-        return not any(_image(mult[d], lmask) & lmask for d in reps)
+        return not any(t & lmask for t in _left_translates(G, tuple(bits(reps)), large))
     scan = _left_translates(G, large, tuple(inv[b] for b in large))
     return not any(t & built for t in scan)
 

@@ -264,6 +264,12 @@ class ClassPartition:
     def sizes(self) -> tuple:
         return tuple(len(c) for c in self.classes)
 
+    @cached_property
+    def leaders(self) -> int:
+        """The mask of each class's minimal member: a union of classes D
+        has one element per class in D & leaders."""
+        return mask_of((c.mask & -c.mask).bit_length() - 1 for c in self.classes)
+
 
 # -- raw mask helpers (hot paths work on ints, not Subset objects) ----------
 

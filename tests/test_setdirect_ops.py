@@ -264,20 +264,21 @@ class TestDirectnessAgainstReference:
 
 class TestDifferenceCriterion:
     """_differences_meet_trivially against XX^-1 intersect YY^-1 = {1},
-    and the branch it takes: translates of the larger side L by one element
-    per class of D = SS^-1 minus 1 when D has fewer classes than L has
-    elements, a scan of LL^-1 (a second _left_translates call) otherwise."""
+    and the branch it takes.  Its first _left_translates call builds
+    D = SS^-1 minus 1 for the smaller side S; the second translates the
+    larger side L by one element per class of D when D has fewer classes
+    than L has elements, and otherwise scans LL^-1 (the translates of L)."""
 
     @staticmethod
-    def _counting(monkeypatch, name):
-        calls = [0]
-        wrapped = getattr(factor, name)
+    def _recording(monkeypatch):
+        calls = []
+        wrapped = factor._left_translates
 
-        def counted(*args):
-            calls[0] += 1
-            return wrapped(*args)
+        def recorded(G, xmem, ymem):
+            calls.append((xmem, ymem))
+            return wrapped(G, xmem, ymem)
 
-        monkeypatch.setattr(factor, name, counted)
+        monkeypatch.setattr(factor, "_left_translates", recorded)
         return calls
 
     @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "D10", "A4", "Q8oC4"])
@@ -294,30 +295,32 @@ class TestDifferenceCriterion:
                   for r in range(1 - first, k - first + 1)
                   for picked in itertools.combinations(range(first, k), r)]
         diffs = [{mult[a][inv[b]] for a in u for b in u} for u in unions]
-        translates = self._counting(monkeypatch, "_left_translates")
+        calls = self._recording(monkeypatch)
         branches = set()
         for i, xs in enumerate(unions):
             for j in range(i if first else 0, len(unions)):
                 ys = unions[j]
-                translates[0] = 0
+                calls.clear()
                 got = factor._differences_meet_trivially(G, xs, ys)
                 assert got == (diffs[i] & diffs[j] == {one}), (xs, ys)
                 small, large = sorted((i, j), key=lambda t: len(unions[t]))
                 d_classes = {part.class_of[d] for d in diffs[small] - {one}}
-                scanned = translates[0] == 2
+                scanned = calls[1][0] == unions[large]
                 assert scanned == (len(d_classes) >= len(unions[large])), (xs, ys)
+                if not scanned:
+                    assert sorted(part.class_of[d] for d in calls[1][0]) == sorted(d_classes)
                 branches.add(scanned)
         assert branches == ({False, True} if name == "Q8oC4" else {False})
 
     def test_group_times_identity_scans_nothing(self, monkeypatch):
         G = symmetric(5)
-        translates = self._counting(monkeypatch, "_left_translates")
-        images = self._counting(monkeypatch, "_image")
+        calls = self._recording(monkeypatch)
         full, one = G.full_subset().members(), (G.identity,)
         assert factor._differences_meet_trivially(G, full, one)
         assert factor._differences_meet_trivially(G, one, full)
-        # each call builds only D = {1}{1}^-1 minus 1, which is empty
-        assert (translates[0], images[0]) == (2, 0)
+        # each call builds D = {1}{1}^-1 minus 1, which is empty, and then
+        # translates G by no element
+        assert [len(x) * len(y) for x, y in calls] == [1, 0, 1, 0]
 
 
 class TestKernel:
