@@ -277,10 +277,10 @@ def verify_main_theorem(G: GroupTable, X: Subset, Y: Subset) -> MainTheoremRepor
     Z = M intersect N.  Condition (b): Z = X_m x Y_n for every m in M and
     n in N, with slices deduplicated per (conjugacy class, Z-coset) and each
     distinct pair of slice masks tested once; an empty slice is an explicit
-    condition-(b) failure with a witness.  The verdict
-    (a and b) is asserted to coincide with direct-and-product-covers-G;
-    XY = G is read from the product the cardinality criterion built, and
-    built here only when that criterion decided by pigeonhole.
+    condition-(b) failure with a witness.  The verdict (a and b) is asserted
+    to coincide with direct-and-product-covers-G; XY = G is read from the
+    product the cardinality criterion built, and built here only when that
+    criterion decided by pigeonhole.
     """
     _check_normal_pair(G, X, Y)
     M = generated_subgroup(G, X)
