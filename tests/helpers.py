@@ -82,6 +82,11 @@ def breadth_first_closure(G: GroupTable, mask: int) -> int:
     return mask_of(closed)
 
 
+def fresh_copy(G: GroupTable) -> GroupTable:
+    """The same group as a new table, with every cache empty."""
+    return GroupTable(G.mult, G.inv, G.identity, G.labels, name=G.name)
+
+
 def naive_closure(G: GroupTable, xs):
     cur = set(xs) | {G.identity}
     while True:

@@ -1,21 +1,30 @@
 """Every library name the benchmark harness looks up must stay a public
-callable in its home module, so no merge or rename breaks a traced run."""
+callable in its home module, so no merge or rename breaks a traced run; and
+the traced spans must still cover the oracle's operations, as a traced run
+requires."""
 
 import ast
 import importlib
+import random
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _traced():
-    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+def _constant(filename, name):
+    """The literal value a perfbench module assigns to `name`."""
+    tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracer.py defines no TRACED")
+    raise AssertionError(f"perfbench/{filename} defines no {name}")
+
+
+def _traced():
+    return _constant("tracer.py", "TRACED")
 
 
 def _workload_names():
@@ -54,3 +63,29 @@ def test_workload_names_resolve():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_traced_spans_cover_the_oracle_operations(monkeypatch, tmp_path):
+    # a traced run fails when the outermost spans cover less than
+    # MIN_TOP_SPAN_FRAC of the operation time; in oracle_abelian the part of
+    # an operation outside enumerate_setdirect's span is the read of its
+    # listing, which --smoke's small slice keeps too short to matter
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+    from workloads import oracle_abelian
+
+    wanted = ("oracle C24 normalized", "oracle C28 normalized")
+    ops = [fn for label, fn in oracle_abelian(random.Random(0), tmp_path, False).ops
+           if label in wanted]
+    assert len(ops) == len(wanted)
+    tracer, best = Tracer(), 0.0
+    for _ in range(3):
+        tracer.install()
+        try:
+            top0, t0 = tracer.top_s, time.perf_counter()
+            for op in ops:
+                op()
+            best = max(best, (tracer.top_s - top0) / (time.perf_counter() - t0))
+        finally:
+            tracer.remove()
+    assert best >= _constant("run.py", "MIN_TOP_SPAN_FRAC"), best

@@ -1,5 +1,6 @@
 """Group construction, classes, centers, products, quotients."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from setdirect.groups import (
     MAX_ORDER,
     Subset,
     _closure_mask,
+    _generators,
     _is_subgroup_mask,
     bits,
     center,
@@ -55,6 +57,7 @@ from setdirect.groups import (
 
 from helpers import (
     breadth_first_closure,
+    fresh_copy,
     is_subgroup_naive,
     naive_center,
     naive_classes,
@@ -434,6 +437,39 @@ class TestGeneratedSubgroup:
         masks += [rng.getrandbits(g.order) | 1 << rng.randrange(g.order) for _ in range(3)]
         for mask in masks:
             assert _closure_mask(g, mask) == breadth_first_closure(g, mask), mask
+
+
+def _generator_inputs(g, rng):
+    """Seeded class unions, every singleton, random masks of all sizes and
+    a few small random sets, and the normal subgroups."""
+    part = conjugacy_classes(g)
+    n, k = g.order, len(part)
+    masks = [mask_of(x for c in rng.sample(range(k), rng.randint(1, k)) for x in part.classes[c])
+             for _ in range(8)]
+    masks += [1 << x for x in range(n)]
+    masks += [rng.getrandbits(n) for _ in range(6)]
+    masks += [mask_of(rng.sample(range(n), min(s, n))) for s in (2, 2, 3, 3)]
+    return masks + [s.mask for s in normal_subgroups(g)]
+
+
+def test_generators_are_pinned():
+    # (gens, closure) of _generators for each input on a new table, again on
+    # that table, and on one table kept warm over the group's inputs; SHA-256
+    # taken when every call ran the greedy closure from the identity
+    digest, calls = hashlib.sha256(), 0
+    for name in [n for n in catalog_names() if catalog_group(n).order <= 64]:
+        g = catalog_group(name)
+        warm = fresh_copy(g)
+        for mask in _generator_inputs(g, random.Random(f"generators {name}")):
+            fresh = fresh_copy(g)
+            got = _generators(fresh, mask)
+            assert _generators(fresh, mask) == got, (name, mask)
+            assert _generators(warm, mask) == got, (name, mask)
+            digest.update(f"{name} {mask} {got}\n".encode())
+            calls += 1
+    assert calls == 5129
+    assert digest.hexdigest() == (
+        "f49bb445a440d176139921445bd2f98872caf2aeaee57b34225ec7c5fb83a218")
 
 
 class TestSubgroupTest:

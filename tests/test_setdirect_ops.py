@@ -63,7 +63,6 @@ from setdirect.factor import (
     verify_main_theorem,
 )
 from setdirect.groups import (
-    GroupTable,
     Subset,
     bits,
     center,
@@ -75,7 +74,7 @@ from setdirect.groups import (
 )
 from setdirect.oracle import enumerate_setdirect
 
-from helpers import naive_is_direct, reference_directness
+from helpers import fresh_copy, naive_is_direct, reference_directness
 
 SMALL_CATALOG = [n for n in catalog_names() if catalog_group(n).order <= 32]
 
@@ -451,7 +450,7 @@ class TestFactorizationSystems:
     def test_decomposition_over_another_table_is_rejected(self):
         g = cyclic(4)
         cp = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
-        other = _fresh_copy(g)  # the same group as another table
+        other = fresh_copy(g)  # the same group as another table
         with pytest.raises(SystemMismatch, match="not over this group"):
             system_for_decomposition(other, cp, [g.subset([0, 2])], [g.subset([0, 1])])
         assert system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])]).z is cp.z
@@ -632,7 +631,7 @@ class TestConstructFromSystem:
     def test_rejects_system_over_another_groups_z(self):
         g = cyclic(4)
         cp = is_central_product(g, g.full_subset(), g.full_subset()).decomposition
-        other = _fresh_copy(g)  # the same group as another table
+        other = fresh_copy(g)  # the same group as another table
         sys_ = FactorizationSystem(
             other.full_subset(),
             (other.identity_subset(),),
@@ -928,11 +927,6 @@ class TestDeriveSystem:
             derive_system(g, f)
 
 
-def _fresh_copy(g):
-    """The same group as a new table, with every cache empty."""
-    return GroupTable(g.mult, g.inv, g.identity, g.labels, name=g.name)
-
-
 def _plain(value):
     if isinstance(value, Subset):
         return value.mask
@@ -984,7 +978,7 @@ class TestCentralProductMemo:
                 verify_main_theorem(g, Subset(g, x), Subset(g, y)) for x, y in pairs
             ]
             for (x, y), got in zip(pairs, shared):
-                fresh = _fresh_copy(g)
+                fresh = fresh_copy(g)
                 want = verify_main_theorem(fresh, Subset(fresh, x), Subset(fresh, y))
                 assert _report_fields(got) == _report_fields(want), (name, x, y)
                 certified += got.verdict
@@ -998,7 +992,7 @@ class TestCentralProductMemo:
             if (r := verify_main_theorem(base, Subset(base, x), Subset(base, y))).verdict
             and len(r.z) > 1
         )
-        g = _fresh_copy(base)  # nothing derived from it yet
+        g = fresh_copy(base)  # nothing derived from it yet
         f = SetDirectFactorization(g, Subset(g, x), Subset(g, y), True)
         cp, system, choices = derive_system(g, f)
         assert len(cp.z) > 1
@@ -1021,7 +1015,7 @@ class TestCentralProductMemo:
         assert again is cp and recomputed == []
 
     def test_memo_holds_at_most_the_pairs_of_normal_subgroups(self):
-        g = _fresh_copy(catalog_group("Q8oQ8"))
+        g = fresh_copy(catalog_group("Q8oQ8"))
         subs = normal_subgroups(g)
         assert len(subs) == 68
         decompositions = enumerate_central_decompositions(g)
