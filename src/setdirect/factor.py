@@ -242,23 +242,27 @@ def _slices(
     With a central Z, `action` holds its orbits on the classes inside the
     subgroup: the slice depends only on the conjugacy class of m, and slices
     at classes in the same Z-orbit are translates of one another, so one
-    representative per Z-orbit suffices; its slice is read from Z as
-    {z in Z : m z in X}, |Z| lookups.  Otherwise (`action` None) slices
-    are deduplicated by their actual value.
+    representative per Z-orbit suffices; its slice is read from the smaller
+    of X and Z, as the image m^-1 X cut to Z or as {z in Z : m z in X},
+    min(|X|, |Z|) lookups.  Otherwise (`action` None) slices are
+    deduplicated by their actual value.
     """
     part = conjugacy_classes(G)
     inv, zm = G.inv, Z.mask
     out = {}
     if action is not None:
-        zmem = Z.members()
+        from_x = part_mask.bit_count() < zm.bit_count()
+        zmem = () if from_x else Z.members()
         for orbit in action.orbits:
             cmask = part.class_mask(orbit.classes[0])
             m = (cmask & -cmask).bit_length() - 1
-            row = G.mult[m]
-            smask = 0
-            for z in zmem:
-                if part_mask >> row[z] & 1:
-                    smask |= 1 << z
+            if from_x:
+                smask = _image(G.mult[inv[m]], part_mask) & zm
+            else:
+                row, smask = G.mult[m], 0
+                for z in zmem:
+                    if part_mask >> row[z] & 1:
+                        smask |= 1 << z
             out[m] = Subset(G, smask)
         return out
     seen_masks = set()

@@ -4,10 +4,11 @@ Elements are integers 0..n-1.  A Subset is an immutable bitmask over the
 element range of a fixed GroupTable.  The table, partitions and subsets
 never change after construction.  What a table derives from itself alone is
 a cached_property of it: a generating set, whether it is abelian, the
-classes, the centre, the label index, and the memo of central-product checks
-keyed by a pair of subgroup masks.  Each is computed on first use and gives
-the same result on every use, so every operation in this module is a pure
-function of its inputs.
+classes, the centre, the label index, the memo of subgroup joins <H, g>
+keyed by a subgroup mask and an element, and the memo of central-product
+checks keyed by a pair of subgroup masks.  Each is computed on first use
+and gives the same result on every use, so every operation in this module
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .errors import (
 # cyclic) and 61 (JSON table, parsing included) bytes of RSS per entry: at
 # 6000, 1.7 GB for a catalog group and 2.1 GB for a JSON table.
 MAX_ORDER = 6000
+
+# Entries GroupTable._joins stores; past it, joins are computed and not kept.
+# A pass of a benchmark workload leaves at most 374 per table (Q8oQ8 in one
+# command-line call); 3000 random sets of 1 to 9 elements of C2^8 would
+# leave 11 108.
+_JOINS_HELD = 4096
 
 
 def check_order(n: int, what: str = "order") -> None:
@@ -145,6 +152,12 @@ class GroupTable:
             if all(row[g] == mult[g][z] for g in gens):
                 m |= 1 << z
         return m
+
+    @cached_property
+    def _joins(self) -> dict:
+        """(H mask, g) -> mask of <H, g>, for a subgroup H and an element g
+        outside it, filled by _generators: at most (subgroups) x n keys."""
+        return {}
 
     @cached_property
     def _central_products(self) -> dict:
@@ -300,12 +313,31 @@ def _product_mask(G: GroupTable, amask: int, bmask: int) -> int:
 
 def _generators(G: GroupTable, mask: int) -> tuple[tuple, int]:
     """Greedy generators of the subgroup generated by the elements of mask,
-    and that subgroup's mask: about |<X>| log|<X>| lookups (see
-    _greedy_generators).  A condition whose solutions form a subgroup, such
-    as commuting with a set, holds on <X> once it holds on the generators."""
-    reached = [G.identity]
-    gens = tuple(_greedy_generators(G.mult, bits(mask), reached))
-    return gens, mask_of(reached)
+    and that subgroup's mask.  From h = <1>, the lowest element g of mask
+    outside h is the next generator and h becomes <h, g>, read from the
+    table's memo G._joins or grown by _greedy_generators from h's elements
+    (a run of misses grows one closure) and stored while the memo is under
+    _JOINS_HELD entries.  Each step at least doubles h, so at most log2|G|
+    are taken.  A condition whose solutions form a subgroup, such as
+    commuting with a set, holds on <X> once it holds on the generators."""
+    joins, gens, h = G._joins, [], 1 << G.identity
+    reached = None  # h's elements while a greedy run grows h
+    while rest := mask & ~h:
+        g = (rest & -rest).bit_length() - 1
+        grown = joins.get((h, g))
+        if grown is None:
+            if reached is None:
+                reached = list(bits(h))
+                steps = _greedy_generators(G.mult, bits(rest), reached, gens)
+            next(steps)  # g, with reached grown to <h, g>
+            grown = h | mask_of(reached[h.bit_count():])
+            if len(joins) < _JOINS_HELD:
+                joins[h, g] = grown
+        else:
+            reached = None
+        gens.append(g)
+        h = grown
+    return tuple(gens), h
 
 
 def _closure_mask(G: GroupTable, mask: int) -> int:
@@ -323,10 +355,10 @@ def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def _greedy_generators(rows, candidates: Iterable[int], reached: list) -> Iterator[int]:
-    """Yield each candidate outside the right closure of the ones yielded
-    before it, and grow that closure in `reached`, which lists its elements
-    and starts as [identity].
+def _greedy_generators(rows, candidates: Iterable[int], reached: list, gens=()) -> Iterator[int]:
+    """Yield each candidate outside the right closure of `gens` and of the
+    candidates yielded before it, once `reached`, which lists that closure's
+    elements (at first [identity] for no gens), has grown to hold it.
 
     A new generator g costs one x*g per element already reached, as those
     are closed under the earlier generators.  Only the elements that adds
@@ -337,11 +369,10 @@ def _greedy_generators(rows, candidates: Iterable[int], reached: list) -> Iterat
     seen = bytearray(len(rows))
     for x in reached:
         seen[x] = 1
-    gens = []
+    gens = list(gens)
     for g in candidates:
         if seen[g]:
             continue
-        yield g
         gens.append(g)
         frontier = []
         for x in reached:
@@ -360,6 +391,7 @@ def _greedy_generators(rows, candidates: Iterable[int], reached: list) -> Iterat
                         seen[y] = 1
                         new.append(y)
             frontier = new
+        yield g
 
 
 def _check_associative(a, rows: list, identity: int) -> None:

@@ -63,7 +63,9 @@ from setdirect.factor import (
     verify_main_theorem,
 )
 from setdirect.groups import (
+    _JOINS_HELD,
     Subset,
+    _generators,
     bits,
     center,
     commutator_set,
@@ -1023,3 +1025,69 @@ class TestCentralProductMemo:
         assert len(memo) <= len(subs) ** 2
         shared = {id(check.decomposition) for check in memo.values() if check}
         assert all(id(d) in shared for d in decompositions)
+
+
+def _abelian_join(g, h, x):
+    """<h, x> for a subgroup h of an abelian group: the cosets x^k h up to
+    the first x^k in h."""
+    out, y = h, x
+    while not out >> y & 1:
+        out |= _translate(g, y, h)
+        y = g.mult[y][x]
+    return out
+
+
+def _reference_walk(g, mask, steps):
+    """Greedy generators of <mask> in an abelian group and its mask; each
+    step's (h, x) -> <h, x> goes in `steps`."""
+    h, gens = 1 << g.identity, []
+    for x in bits(mask):
+        if not h >> x & 1:
+            steps[h, x] = h = _abelian_join(g, h, x)
+            gens.append(x)
+    return tuple(gens), h
+
+
+def _system_on(table, system):
+    """The same system, its sets on another table of the same group."""
+    return FactorizationSystem(
+        Subset(table, system.z.mask),
+        *(tuple(Subset(table, s.mask) for s in family)
+          for family in (system.m_subgroups, system.n_subgroups, system.a_sets, system.b_sets)),
+    )
+
+
+class TestJoinMemo:
+    def test_a_sweep_of_c2_8_fills_the_cap_with_reference_joins(self):
+        # uncapped, these 3000 sets leave 11 108 joins; past the cap the
+        # answers are computed without being stored
+        g = cyclic_product([2] * 8)
+        rng = random.Random("joins C2^8")
+        steps = {}
+        for _ in range(3000):
+            mask = mask_of(rng.sample(range(g.order), rng.randint(1, 9)))
+            assert _generators(g, mask) == _reference_walk(g, mask, steps), mask
+        memo = g._joins
+        assert len(memo) == _JOINS_HELD < len(steps)
+        for (h, x), grown in memo.items():
+            # h is a subgroup, as a state of a reference walk, and x is outside it
+            assert not h >> x & 1 and steps.get((h, x)) == grown, (h, x)
+
+    def test_reports_on_a_warm_table_equal_those_on_a_fresh_copy(self):
+        rng = random.Random("joins warm")
+        for name in SMALL_CATALOG:
+            g = fresh_copy(catalog_group(name))
+            central = central_subgroups(g)
+            for z in central:
+                subgroups = [s for s in central if s.mask & ~z.mask == 0]
+                for _ in range(8):
+                    system = _random_system(g, z, subgroups, rng)
+                    want = check_factorization_system(_system_on(fresh_copy(g), system))
+                    got = check_factorization_system(system)
+                    assert _report_fields(got) == _report_fields(want), (name, z.mask)
+            for x, y in _candidate_pairs(g, rng, 12):
+                fresh = fresh_copy(g)
+                want = verify_main_theorem(fresh, Subset(fresh, x), Subset(fresh, y))
+                got = verify_main_theorem(g, Subset(g, x), Subset(g, y))
+                assert _report_fields(got) == _report_fields(want), (name, x, y)
+            assert g._joins or g.order == 1
