@@ -23,10 +23,6 @@ def _constant(filename, name):
     raise AssertionError(f"perfbench/{filename} defines no {name}")
 
 
-def _traced():
-    return _constant("tracer.py", "TRACED")
-
-
 def _workload_names():
     """(module, name) for each sd_<module>.<name> used by the workloads."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
@@ -49,7 +45,7 @@ def _workload_names():
 
 
 def test_traced_names_are_public_callables():
-    traced = _traced()
+    traced = _constant("tracer.py", "TRACED")
     assert traced
     for layer, names in traced.items():
         module = importlib.import_module(f"setdirect.{layer}")
