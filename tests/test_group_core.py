@@ -157,17 +157,7 @@ class TestGroupFromTable:
         for name in ("C8", "D8", "Q8", "C2xC2xC2"):
             base = [list(row) for row in catalog_group(name).mult]
             n = len(base)
-            tables = [base]
-            for i in range(1, n):
-                for j in range(i + 1, n):
-                    for k in range(1, n):
-                        for l in range(k + 1, n):
-                            if base[i][k] == base[j][l] and base[i][l] == base[j][k]:
-                                t = [row[:] for row in base]
-                                t[i][k], t[i][l] = t[i][l], t[i][k]
-                                t[j][k], t[j][l] = t[j][l], t[j][k]
-                                tables.append(t)
-            for t in tables:
+            for t in [base, *_intercalate_swaps(base)]:
                 assoc = all(
                     t[t[x][y]][z] == t[x][t[y][z]]
                     for x in range(n)
@@ -184,6 +174,44 @@ class TestGroupFromTable:
                     assert assoc
                     verdicts.add(True)
         assert verdicts == {True, False}
+
+
+def _intercalate_swaps(base):
+    """Each table made from the table `base` by swapping one intercalate
+    away from the identity row and column: still a Latin square with a
+    two-sided identity."""
+    n = len(base)
+    tables = []
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            for k in range(1, n):
+                for l in range(k + 1, n):
+                    if base[i][k] == base[j][l] and base[i][l] == base[j][k]:
+                        t = [row[:] for row in base]
+                        t[i][k], t[i][l] = t[i][l], t[i][k]
+                        t[j][k], t[j][l] = t[j][l], t[j][k]
+                        tables.append(t)
+    return tables
+
+
+def test_table_outcomes_are_pinned():
+    # group_from_table's NotAGroup message, or "ok", on every intercalate
+    # swap of eight tables; SHA-256 taken when Light's test ran its own
+    # greedy closure over the table
+    digest, outcomes = hashlib.sha256(), []
+    for name in ("C8", "D8", "Q8", "C2xC2xC2", "C12", "D12", "Q16", "C3xC2xC2"):
+        for t in _intercalate_swaps([list(row) for row in catalog_group(name).mult]):
+            try:
+                group_from_table(t)
+                outcome = "ok"
+            except NotAGroup as exc:
+                outcome = str(exc)
+            outcomes.append(outcome)
+            digest.update(f"{name} {outcome}\n".encode())
+    assert len(outcomes) == 450
+    assert sum("associativity" in o for o in outcomes) == 396
+    assert digest.hexdigest() == (
+        "de6db410db43cfe8116850b57196da00ead84830e96ec2f67386e445d9253816")
 
 
 class TestGroupFromPermutations:
@@ -470,6 +498,36 @@ def test_generators_are_pinned():
     assert calls == 5129
     assert digest.hexdigest() == (
         "f49bb445a440d176139921445bd2f98872caf2aeaee57b34225ec7c5fb83a218")
+
+
+def _cycles(degree, *cycles):
+    p = list(range(degree))
+    for cyc in cycles:
+        for i, a in enumerate(cyc):
+            p[a] = cyc[(i + 1) % len(cyc)]
+    return p
+
+
+def test_table_generators_are_the_greedy_walk_and_pinned():
+    # GroupTable.generators on a new table equals the greedy walk over the
+    # whole group; SHA-256 over the (name, generators) pairs taken when
+    # each ran its own greedy closure
+    groups = [catalog_group(n) for n in catalog_names() if catalog_group(n).order <= 64]
+    groups += [
+        group_from_permutations([_cycles(6, [0, 1]), _cycles(6, [0, 1, 2, 3, 4, 5])], name="S6"),
+        group_from_permutations([_cycles(7, [0, 1]), _cycles(7, [0, 1, 2, 3]),
+                                 _cycles(7, [4, 5]), _cycles(7, [4, 5, 6])], name="S4xS3"),
+        group_from_permutations([_cycles(8, [0, 1]), _cycles(8, [0, 2, 4, 6], [1, 3, 5, 7])],
+                                name="C2wrC4"),
+    ]
+    digest = hashlib.sha256()
+    for g in groups:
+        got = fresh_copy(g).generators
+        assert got == _generators(fresh_copy(g), g.full_mask)[0], g.name
+        digest.update(f"{g.name} {got}\n".encode())
+    assert len(groups) == 102
+    assert digest.hexdigest() == (
+        "bd313d461f2cd82689ca62460ec476a84bd2208e94c853b0b7201941260bb942")
 
 
 class TestSubgroupTest:
