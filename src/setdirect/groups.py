@@ -106,9 +106,10 @@ class GroupTable:
 
     @cached_property
     def generators(self) -> tuple:
-        """A generating set of at most log2(order) elements, found greedily:
-        the set Light's test checks on a table."""
-        return tuple(_greedy_generators(self.mult, range(self.order), [self.identity]))
+        """A generating set of at most log2(order) elements: the greedy walk
+        of _generators over the whole group, and the set Light's test
+        checks on a table."""
+        return _generators(self, self.full_mask)[0]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -313,31 +314,56 @@ def _product_mask(G: GroupTable, amask: int, bmask: int) -> int:
 
 def _generators(G: GroupTable, mask: int) -> tuple[tuple, int]:
     """Greedy generators of the subgroup generated by the elements of mask,
-    and that subgroup's mask.  From h = <1>, the lowest element g of mask
-    outside h is the next generator and h becomes <h, g>, read from the
-    table's memo G._joins or grown by _greedy_generators from h's elements
-    (a run of misses grows one closure) and stored while the memo is under
+    and that subgroup's mask.  The one routine that grows a subgroup
+    closure: from h = <1>, the lowest element g of mask outside h is the
+    next generator and h becomes <h, g>, read from the table's memo
+    G._joins or grown by _join and stored while the memo is under
     _JOINS_HELD entries.  Each step at least doubles h, so at most log2|G|
-    are taken.  A condition whose solutions form a subgroup, such as
-    commuting with a set, holds on <X> once it holds on the generators."""
+    are taken, and each depends on h and g alone.  A condition whose
+    solutions form a subgroup, such as commuting with a set, holds on <X>
+    once it holds on the generators."""
     joins, gens, h = G._joins, [], 1 << G.identity
-    reached = None  # h's elements while a greedy run grows h
     while rest := mask & ~h:
         g = (rest & -rest).bit_length() - 1
         grown = joins.get((h, g))
         if grown is None:
-            if reached is None:
-                reached = list(bits(h))
-                steps = _greedy_generators(G.mult, bits(rest), reached, gens)
-            next(steps)  # g, with reached grown to <h, g>
-            grown = h | mask_of(reached[h.bit_count():])
+            grown = _join(G.mult, h, gens, g)
             if len(joins) < _JOINS_HELD:
                 joins[h, g] = grown
-        else:
-            reached = None
         gens.append(g)
         h = grown
     return tuple(gens), h
+
+
+def _join(rows, h: int, gens: Sequence[int], g: int) -> int:
+    """The mask of <h, g> for h the subgroup generated by gens, grown from
+    h's elements.  Each x*g, x in h, is a new element (h is closed under
+    gens); only the new elements are then multiplied by gens and g, and so
+    on until none is new.  Membership is a bytearray, as testing a bit of
+    an int mask costs O(n/64).  On a table not yet known to be associative
+    (Light's test) this is the right closure of h under gens and g."""
+    seen = bytearray(len(rows))
+    for x in bits(h):
+        seen[x] = 1
+    gens = [*gens, g]
+    frontier = []
+    for x in bits(h):
+        y = rows[x][g]
+        if not seen[y]:
+            seen[y] = 1
+            frontier.append(y)
+    while frontier:
+        h |= mask_of(frontier)
+        new = []
+        for x in frontier:
+            row = rows[x]
+            for k in gens:
+                y = row[k]
+                if not seen[y]:
+                    seen[y] = 1
+                    new.append(y)
+        frontier = new
+    return h
 
 
 def _closure_mask(G: GroupTable, mask: int) -> int:
@@ -355,52 +381,14 @@ def _is_subgroup_mask(G: GroupTable, mask: int) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def _greedy_generators(rows, candidates: Iterable[int], reached: list, gens=()) -> Iterator[int]:
-    """Yield each candidate outside the right closure of `gens` and of the
-    candidates yielded before it, once `reached`, which lists that closure's
-    elements (at first [identity] for no gens), has grown to hold it.
-
-    A new generator g costs one x*g per element already reached, as those
-    are closed under the earlier generators.  Only the elements that adds
-    are multiplied by every generator so far, and so on until none is new.
-    In a group each generator at least doubles the closure, so at most
-    log2 n are yielded.  A caller may test each one before the next is
-    sought."""
-    seen = bytearray(len(rows))
-    for x in reached:
-        seen[x] = 1
-    gens = list(gens)
-    for g in candidates:
-        if seen[g]:
-            continue
-        gens.append(g)
-        frontier = []
-        for x in reached:
-            y = rows[x][g]
-            if not seen[y]:
-                seen[y] = 1
-                frontier.append(y)
-        while frontier:
-            reached += frontier
-            new = []
-            for x in frontier:
-                row = rows[x]
-                for h in gens:
-                    y = row[h]
-                    if not seen[y]:
-                        seen[y] = 1
-                        new.append(y)
-            frontier = new
-        yield g
-
-
-def _check_associative(a, rows: list, identity: int) -> None:
+def _check_associative(a, gens: Iterable[int]) -> None:
     """Light's test on the table as an integer array `a`.  S = {g : (xy)g =
-    x(yg) for all x, y} is closed under products, so checking a generating
-    set proves associativity at any order."""
+    x(yg) for all x, y} is closed under products, so checking gens, whose
+    right closure from the identity is the whole table, proves
+    associativity at any order."""
     import numpy as np
 
-    for g in _greedy_generators(rows, range(len(rows)), [identity]):
+    for g in gens:
         col = a[:, g]
         bad = col[a] != a[:, col]  # (xy)g != x(yg)
         if bad.any():
@@ -468,7 +456,8 @@ def group_from_table(
     # plain ints (a JSON table's) are kept as they are, in the tuples GroupTable
     # keeps: a.tolist() would make n^2 new ints, and GroupTable a copy
     rows = [tuple(row) for row in mult_table] if types == {int} else a.tolist()
-    _check_associative(a, rows, identity)
+    G = GroupTable(rows, inv.tolist(), identity, (), name=name)
+    _check_associative(a, G.generators)  # the set the table keeps
 
     if labels is None:
         labels = [str(i) for i in range(n)]
@@ -476,7 +465,8 @@ def group_from_table(
         raise NotAGroup("labels length does not match order")
     elif not all(isinstance(label, str) for label in labels):
         raise NotAGroup("labels are not all strings")
-    return GroupTable(rows, inv.tolist(), identity, labels, name=name)
+    G.labels = tuple(labels)
+    return G
 
 
 def _cycle_label(perm: Sequence[int]) -> str:
