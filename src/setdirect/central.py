@@ -25,8 +25,10 @@ from .groups import (
     _is_subgroup_mask,
     _product_mask,
     _quotient,
+    _remember,
     bits,
     center,
+    check_element,
     commutator_set,
     conjugacy_classes,
     is_normal_subset,
@@ -96,14 +98,16 @@ def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck
     """is_central_product for M, N already known to be normal subgroups.
 
     The outcome depends on G and the two masks alone, so it is computed once
-    per (M, N) and kept on the table: the verifier, derive_system and
-    construct_from_system then share one decomposition and its orbits.
+    per (M, N) and kept on the table while its memo is under the cap of
+    groups._remember: the verifier, derive_system and construct_from_system
+    then share one decomposition and its orbits.  Past the cap a
+    decomposition is computed again, with the same fields.
     """
     memo = G._central_products
     key = (M.mask, N.mask)
     check = memo.get(key)
     if check is None:
-        check = memo[key] = _certify_central_product(G, M, N)
+        check = _remember(memo, key, _certify_central_product(G, M, N))
     return check
 
 
@@ -301,6 +305,7 @@ def class_stabilizer(G: GroupTable, n: int, Z: Subset) -> Subset:
     Computed both directly ({z : nz in n^G}) and as [n, G] intersect Z;
     the two must agree.
     """
+    check_element(G, n)
     _require_central_subgroup(G, Z)
     part = conjugacy_classes(G)
     cmask = part.class_mask(part.class_of[n])

@@ -32,7 +32,7 @@ from .factor import (
     transversal_factorization,
     verify_main_theorem,
 )
-from .groups import GroupTable, Subset, bits, center, conjugacy_classes
+from .groups import GroupTable, Subset, bits, center, check_element, conjugacy_classes
 from .oracle import DEFAULT_SAMPLES, DEFAULT_TIME_BUDGET, enumerate_setdirect, property_suite
 
 EXIT_OK = 0
@@ -82,8 +82,7 @@ def parse_subset(G: GroupTable, spec: str) -> Subset:
             idx = G.index_of_label(tok)
             if idx is None:
                 raise GroupError(f"unknown element {tok!r} in {G.name}")
-        if not 0 <= idx < G.order:
-            raise GroupError(f"element index {idx} out of range for {G.name}")
+        check_element(G, idx)
         mask |= 1 << idx
     if not mask:
         raise GroupError("empty subset spec")

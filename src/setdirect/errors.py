@@ -93,6 +93,12 @@ class ContainmentViolated(GroupError, ValueError):
     Also a ValueError, as ForeignSubset is."""
 
 
+class ElementOutOfRange(GroupError, ValueError):
+    """An element index is not in 0..order-1 of the group it is used in.
+
+    Also a ValueError, as ForeignSubset is."""
+
+
 class SearchSpaceTooLarge(GroupError):
     """An exhaustive search would exceed the configured budget."""
 

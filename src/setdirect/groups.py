@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     EmptyGeneratingSet,
     ContainmentViolated,
+    ElementOutOfRange,
     EmptySet,
     ForeignSubset,
     NotAGroup,
@@ -40,11 +41,13 @@ from .errors import (
 # 6000, 1.7 GB for a catalog group and 2.1 GB for a JSON table.
 MAX_ORDER = 6000
 
-# Entries GroupTable._joins stores; past it, joins are computed and not kept.
-# A pass of a benchmark workload leaves at most 374 per table (Q8oQ8 in one
-# command-line call); 3000 random sets of 1 to 9 elements of C2^8 would
-# leave 11 108.
-_JOINS_HELD = 4096
+# Entries each per-table memo (GroupTable._joins, GroupTable._central_products)
+# stores; past it, values are computed and not kept (_remember).  A pass of
+# a benchmark workload leaves at most 374 joins per table (Q8oQ8 in one
+# command-line call) and two passes at most 91 central-product checks;
+# uncapped, 3000 random sets of 1 to 9 elements of C2^8 would leave 11 108
+# joins, and 20 000 verify_main_theorem calls on such sets 19 213 checks.
+_MEMO_HELD = 4096
 
 
 def check_order(n: int, what: str = "order") -> None:
@@ -52,6 +55,12 @@ def check_order(n: int, what: str = "order") -> None:
     this before it allocates anything that grows with n."""
     if n > MAX_ORDER:
         raise OrderLimitExceeded(f"{what} {n} exceeds the order bound {MAX_ORDER}")
+
+
+def check_element(G: "GroupTable", x: int) -> None:
+    """Raise ElementOutOfRange unless x indexes an element of G."""
+    if not 0 <= x < G.order:
+        raise ElementOutOfRange(f"element index {x} out of range for {G.name}")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -174,8 +183,7 @@ class GroupTable:
     def subset(self, indices: Iterable[int]) -> "Subset":
         m = 0
         for i in indices:
-            if not 0 <= i < self.order:
-                raise ValueError(f"element index {i} out of range for {self.name}")
+            check_element(self, i)
             m |= 1 << i
         return Subset(self, m)
 
@@ -253,6 +261,7 @@ class Subset:
 
     def translate(self, g: int) -> "Subset":
         """Left translate {g*x : x in S}."""
+        check_element(self.group, g)
         return Subset(self.group, _image(self.group.mult[g], self.mask))
 
     def __repr__(self):
@@ -317,19 +326,16 @@ def _generators(G: GroupTable, mask: int) -> tuple[tuple, int]:
     and that subgroup's mask.  The one routine that grows a subgroup
     closure: from h = <1>, the lowest element g of mask outside h is the
     next generator and h becomes <h, g>, read from the table's memo
-    G._joins or grown by _join and stored while the memo is under
-    _JOINS_HELD entries.  Each step at least doubles h, so at most log2|G|
-    are taken, and each depends on h and g alone.  A condition whose
-    solutions form a subgroup, such as commuting with a set, holds on <X>
-    once it holds on the generators."""
+    G._joins or grown by _join and kept there by _remember.  Each step at
+    least doubles h, so at most log2|G| are taken, and each depends on h
+    and g alone.  A condition whose solutions form a subgroup, such as
+    commuting with a set, holds on <X> once it holds on the generators."""
     joins, gens, h = G._joins, [], 1 << G.identity
     while rest := mask & ~h:
         g = (rest & -rest).bit_length() - 1
         grown = joins.get((h, g))
         if grown is None:
-            grown = _join(G.mult, h, gens, g)
-            if len(joins) < _JOINS_HELD:
-                joins[h, g] = grown
+            grown = _remember(joins, (h, g), _join(G.mult, h, gens, g))
         gens.append(g)
         h = grown
     return tuple(gens), h
@@ -364,6 +370,15 @@ def _join(rows, h: int, gens: Sequence[int], g: int) -> int:
                     new.append(y)
         frontier = new
     return h
+
+
+def _remember(memo: dict, key, value):
+    """Store key -> value in a per-table memo while it holds fewer than
+    _MEMO_HELD entries, and return value: past the cap a value is computed
+    again on each use."""
+    if len(memo) < _MEMO_HELD:
+        memo[key] = value
+    return value
 
 
 def _closure_mask(G: GroupTable, mask: int) -> int:

@@ -29,7 +29,7 @@ from setdirect.central import (
     z_bracket,
     z_orbits,
 )
-from setdirect.errors import NotCentral, OrderLimitExceeded
+from setdirect.errors import ElementOutOfRange, GroupError, NotCentral, OrderLimitExceeded
 from setdirect.groups import (
     Subset,
     center,
@@ -279,6 +279,13 @@ class TestClassStabilizer:
         z = generated_subgroup(g, g.subset([4]))
         for x in range(12):
             assert class_stabilizer(g, x, z).members() == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, 32])
+    def test_an_index_out_of_range_is_a_typed_error(self, bad):
+        g = catalog_group("Q8oQ8")
+        for caught in (ElementOutOfRange, GroupError, ValueError):
+            with pytest.raises(caught, match=f"element index {bad} out of range"):
+                class_stabilizer(g, bad, center(g))
 
     def test_double_computation_everywhere(self):
         # the op itself asserts {z : nz in n^G} == [n,G] & Z elementwise

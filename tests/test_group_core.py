@@ -24,6 +24,7 @@ from setdirect.catalog import (
 )
 from setdirect.errors import (
     ContainmentViolated,
+    ElementOutOfRange,
     EmptyGeneratingSet,
     GroupError,
     NotAGroup,
@@ -681,6 +682,30 @@ class TestSubgroupView:
         with pytest.raises(GroupError) as info:
             view.pull(g.subset([0, outside]))
         assert isinstance(info.value, ContainmentViolated)
+
+
+class TestElementIndices:
+    """An index outside 0..order-1 ends in ElementOutOfRange, a GroupError
+    that is also a ValueError."""
+
+    @pytest.mark.parametrize("bad", [-1, 16, 17])
+    def test_subset_and_singleton(self, bad):
+        g = catalog_group("Q8oC4")
+        for build in (lambda: g.subset([0, bad]), lambda: g.singleton(bad)):
+            with pytest.raises(ElementOutOfRange, match=f"element index {bad} out of range"):
+                build()
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_translate(self, bad):
+        g = catalog_group("Q8oC4")
+        s = g.subset([0, 1, 5])
+        with pytest.raises(ElementOutOfRange):
+            s.translate(bad)
+        with pytest.raises(ValueError):
+            s.translate(bad)
+        assert s.translate(15).mask == mask_of(g.mult[15][x] for x in (0, 1, 5))
 
 
 def _refused_peak_bytes(build, *args):

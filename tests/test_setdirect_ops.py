@@ -63,7 +63,7 @@ from setdirect.factor import (
     verify_main_theorem,
 )
 from setdirect.groups import (
-    _JOINS_HELD,
+    _MEMO_HELD,
     Subset,
     _generators,
     bits,
@@ -1016,6 +1016,23 @@ class TestCentralProductMemo:
         again, _, _ = derive_system(g, f)
         assert again is cp and recomputed == []
 
+    def test_a_sweep_of_c2_8_stays_at_the_cap(self):
+        # uncapped, these calls leave one check per distinct (<X>, <Y>);
+        # past the cap a check is computed again, so every twentieth report,
+        # those past the cap among them, is compared with a fresh copy's
+        g = cyclic_product([2] * 8)
+        rng = random.Random("central products C2^8")
+        pairs = [tuple(mask_of(rng.sample(range(g.order), rng.randint(1, 9))) for _ in "xy")
+                 for _ in range(4400)]
+        reports = [verify_main_theorem(g, Subset(g, x), Subset(g, y)) for x, y in pairs]
+        memo = g._central_products
+        assert len(memo) == _MEMO_HELD < len({(r.m.mask, r.n.mask) for r in reports})
+        fresh = fresh_copy(g)
+        for (x, y), got in list(zip(pairs, reports))[::20]:
+            want = verify_main_theorem(fresh, Subset(fresh, x), Subset(fresh, y))
+            assert _report_fields(got) == _report_fields(want), (x, y)
+        assert any((r.m.mask, r.n.mask) not in memo for r in reports[::20])
+
     def test_memo_holds_at_most_the_pairs_of_normal_subgroups(self):
         g = fresh_copy(catalog_group("Q8oQ8"))
         subs = normal_subgroups(g)
@@ -1068,7 +1085,7 @@ class TestJoinMemo:
             mask = mask_of(rng.sample(range(g.order), rng.randint(1, 9)))
             assert _generators(g, mask) == _reference_walk(g, mask, steps), mask
         memo = g._joins
-        assert len(memo) == _JOINS_HELD < len(steps)
+        assert len(memo) == _MEMO_HELD < len(steps)
         for (h, x), grown in memo.items():
             # h is a subgroup, as a state of a reference walk, and x is outside it
             assert not h >> x & 1 and steps.get((h, x)) == grown, (h, x)
