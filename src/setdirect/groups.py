@@ -8,7 +8,9 @@ classes, the centre, the label index, the memo of subgroup joins <H, g>
 keyed by a subgroup mask and an element, and the memo of central-product
 checks keyed by a pair of subgroup masks.  Each is computed on first use
 and gives the same result on every use, so every operation in this module
-is a pure function of its inputs.
+is a pure function of its inputs; the two memos hold at most _MEMO_HELD
+entries each.  Every subgroup closure, the table's generating set
+included, is grown by one greedy walk, _generators.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ from .errors import (
 MAX_ORDER = 6000
 
 # Entries each per-table memo (GroupTable._joins, GroupTable._central_products)
-# stores; past it, values are computed and not kept (_remember).  A pass of
-# a benchmark workload leaves at most 374 joins per table (Q8oQ8 in one
-# command-line call) and two passes at most 91 central-product checks;
-# uncapped, 3000 random sets of 1 to 9 elements of C2^8 would leave 11 108
-# joins, and 20 000 verify_main_theorem calls on such sets 19 213 checks.
+# stores; past it, values are computed and not kept (_remember).  Two passes
+# of a benchmark workload leave at most 374 joins and 2346 central-product
+# checks per table (Q8oQ8 in one command-line call: `info` checks every
+# pair of its 68 normal subgroups); uncapped, 3000 random sets of 1 to 9
+# elements of C2^8 leave 11 108 joins, and 20 000 verify_main_theorem calls
+# on such sets about 19 200 checks.
 _MEMO_HELD = 4096
 
 

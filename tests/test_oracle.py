@@ -372,9 +372,9 @@ class TestTimeBudget:
             _packed(1, 2), _packed(1, 9), _packed(3, 5)
         ]
 
-    def test_bucket_sorts_read_the_clock(self):
+    def test_chunk_sorts_read_the_clock(self):
         # A deadline whose poll never reads the clock: only the read before
-        # each part's sort (and each part of a large part) can stop it.
+        # each chunk's sort (and before each merged piece) can stop it.
         class NoPoll(oracle._Deadline):
             def poll(self):
                 pass
