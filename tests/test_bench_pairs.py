@@ -44,8 +44,9 @@ def test_unpaired_rows_are_refused():
         bench_pairs.summarize(rows, [("t", "lower")])
 
 
-def test_a_committed_summary_is_reproduced_from_its_rows():
-    bench = json.loads((ROOT / "BENCH_22.json").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", ["BENCH_22.json", "BENCH_23.json"])
+def test_a_committed_summary_is_reproduced_from_its_rows(name):
+    bench = json.loads((ROOT / name).read_text(encoding="utf-8"))
     metrics = [(m["name"], m["better"]) for m in bench_pairs.benchmark_spec()["end_to_end"]]
     for workload, rows in bench["workloads"].items():
         assert bench_pairs.summarize(rows, metrics) == bench["summary"][workload], workload
