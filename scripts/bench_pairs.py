@@ -10,7 +10,7 @@ seeds seed0 .. seed0+pairs-1, `perfbench/run.py --trace 0` runs once from
 each tree, one process per run: the parent first on odd seeds and the
 change first on even ones, so that a drift in the host's speed falls on
 both sides alike.  A run that is not "correct": true with 0 failed
-operations stops the script with exit code 1.
+operations, or one that outlasts RUN_TIMEOUT_S, stops the script.
 
 Prints one JSON object on stdout: the command, the protocol, the rows of
 every run per workload and side, and per workload a summary of each
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 900  # a 25 s run, set-up samples and checks included, took under 40 s (2 vCPUs)
 
 
 def benchmark_spec() -> dict:
@@ -41,7 +42,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     failed, the end-to-end metrics and the seed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
     try:
         out = json.loads(lines[-1])
@@ -66,7 +67,8 @@ def summarize(rows: dict, metrics) -> dict:
     seed order, and `metrics` lists (name, better) with better "lower" or
     "higher".  A pair is the two runs of one seed."""
     parent, change = rows["parent"], rows["change"]
-    assert [r["seed"] for r in parent] == [r["seed"] for r in change], "unpaired runs"
+    if [r["seed"] for r in parent] != [r["seed"] for r in change]:
+        raise ValueError("unpaired runs: the sides' seeds differ")
     out = {}
     for name, better in metrics:
         p = [r[name] for r in parent]
@@ -96,6 +98,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed0", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, to give quartiles")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     seeds = range(args.seed0, args.seed0 + args.pairs)

@@ -40,7 +40,7 @@ def test_inclusive_quartiles_of_an_even_count():
 
 def test_unpaired_rows_are_refused():
     rows = {"parent": _rows([1.0, 2.0], seeds=[1, 2]), "change": _rows([1.0, 2.0], seeds=[2, 1])}
-    with pytest.raises(AssertionError, match="unpaired"):
+    with pytest.raises(ValueError, match="unpaired"):
         bench_pairs.summarize(rows, [("t", "lower")])
 
 
