@@ -2,14 +2,14 @@
 """Run the benchmark in alternating pairs on two source trees and summarise.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR
-           [--workloads NAME ...] [--pairs 10] [--seconds 25] [--seed0 1]
+           [--workloads NAME ...] [--seed0 1]
 
 Each tree is a checkout of the repository, for example a `git archive` of
 a commit unpacked in its own directory.  For each workload and each of the
-seeds seed0 .. seed0+pairs-1, `perfbench/run.py --trace 0` runs once from
-each tree, one process per run: the parent first on odd seeds and the
-change first on even ones, so that a drift in the host's speed falls on
-both sides alike.  A run that is not "correct": true with 0 failed
+PAIRS seeds seed0 .. seed0+PAIRS-1, `perfbench/run.py --trace 0` runs once
+from each tree for BENCHMARK.json's "run_seconds", one process per run: the
+parent first on odd seeds and the change first on even ones, so that a
+drift in the host's speed falls on both sides alike.  A run that is not "correct": true with 0 failed
 operations, or one that outlasts RUN_TIMEOUT_S, stops the script.
 
 Prints one JSON object on stdout: the command, the protocol, the rows of
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10  # alternating pairs per workload, the fewest that can support a claimed gain
 RUN_TIMEOUT_S = 900  # a 25 s run, set-up samples and checks included, took under 40 s (2 vCPUs)
 
 
@@ -94,15 +95,12 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, metavar="PARENT_DIR")
     ap.add_argument("change", type=Path, metavar="CHANGE_DIR")
     ap.add_argument("--workloads", nargs="+", choices=names, default=names)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed0", type=int, default=1)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, to give quartiles")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    seeds = range(args.seed0, args.seed0 + args.pairs)
+    seconds = spec["run_seconds"]
+    seeds = range(args.seed0, args.seed0 + PAIRS)
 
     workloads, summary = {}, {}
     for workload in args.workloads:
@@ -110,13 +108,13 @@ def main(argv=None) -> int:
         for seed in seeds:
             for side in SIDES if seed % 2 else reversed(SIDES):
                 print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr)
-                rows[side].append(run_once(trees[side], workload, seed, args.seconds))
+                rows[side].append(run_once(trees[side], workload, seed, seconds))
         workloads[workload] = rows
         summary[workload] = summarize(rows, metrics)
 
     print(json.dumps({
         "command": f"python3 perfbench/run.py --workload <name> --seed <n> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "protocol": f"parent {trees['parent'].name} and change {trees['change'].name}, "
                     f"one process per run; seeds {seeds[0]}-{seeds[-1]}, parent first on odd seeds "
                     f"and change first on even ones; medians and inclusive quartiles "
