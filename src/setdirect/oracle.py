@@ -27,16 +27,19 @@ The totals follow from the normalized pairs in closed form: each unordered
 normalized pair stands for |Z|^2 / (|X∩Z| |Y∩Z|) unordered factorizations,
 so the search counts the pairs by that one weight |X∩Z| |Y∩Z|, and the
 nontrivial count is the total less the |Z| shifts ({z}, G) of ({1}, G).  The
-shifts themselves are built only for a full listing.  Nothing here consults
-the structural verifier.
+shifts themselves are built only for a full listing, one Z x Z orbit at a
+time: a normalized pair met again lies in an orbit already listed whole.
+Nothing here consults the structural verifier.
 
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
 A run goes search, expand (full listing only), sort (chunks, then one merge
 in pieces), listing, each phase under one deadline.  The pairs are added,
 expanded and listed in bulk, a list comprehension over at most _CHUNK masks
-at a time, and the clock is read before each such step; the search also
-polls it once per candidate X and once per exact-cover state.  The
+at a time (a join of the cover's completion lists takes each in slices of
+that many), and the clock is read before each such step; the search also
+polls it once per candidate X and once per exact-cover state.  A candidate
+X with no completion goes on to the next with no pair phase.  The
 candidate volume, the mask bits the search holds and the expansion have
 fixed caps.
 """
@@ -267,15 +270,22 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
     whose product X·c misses the covered elements leads to the mask
     covered | X·c, solved before covered itself; a dead end keeps an empty
     list.  A column is cached per X, so a node reads it rather than
-    rebuilding it from the products X·c.  X's own completions are read
-    from the ends of its first steps, so its list, the longest, is never
-    built.  The pairs of X and of its orbit's images then go in, and their
-    shift weights are tallied, in chunks of at most _CHUNK completions, one
-    list comprehension per image; a caller that catches _OutOfTime holds
-    every pair added before the deadline, each with its weight.  An image is
-    a mask carried through a power map, a tuple, by _image.  Before a list
-    is joined and before X's pairs go in, hold() counts the bits then held,
-    and past _HELD_BITS_CAP raises SearchSpaceTooLarge.
+    rebuilding it from the products X·c.  A join copies each successor's
+    non-empty list in slices of at most _CHUNK, the clock read before each
+    slice, with no generator per step; an empty list adds nothing and reads
+    no clock.  X's own completions are read from the ends of its first
+    steps, so its list, the longest, is never built.  When every first step
+    ends empty, X is a dead end (621 of C30's 679 candidates that reach the
+    cover are) and the search goes on to the next candidate with no pair
+    phase: no hold, no chunks, no tally.  Otherwise the pairs of X and of
+    its orbit's images go in, and their shift weights are tallied, in
+    chunks of at most _CHUNK completions, one list comprehension per image;
+    a caller that catches _OutOfTime holds every pair added before the
+    deadline, each with its weight.  An image is a mask carried through a
+    power map, a tuple, by _image.  Before a list is joined and before X's
+    pairs go in, hold() counts the bits then held, and past _HELD_BITS_CAP
+    raises SearchSpaceTooLarge; a dead end adds no pair, so skipping its
+    hold() skips no refusal.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -380,8 +390,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
                     hold(held, 0)
                     out = []
                     for nxt, cm in steps:
-                        out += [cm | t for piece in _pieces(ends[nxt], deadline)
-                                for t in piece]
+                        done = ends[nxt]
+                        for i in range(0, len(done), _CHUNK):
+                            deadline.check()
+                            out += [cm | t for t in done[i:i + _CHUNK]]
                     ends[covered] = out
                     continue
                 poll()
@@ -404,8 +416,10 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
             # The pairs of X and its images, a chunk of completions at a time;
             # init is never expanded only when it is full, in the trivial group.
             firsts = succ.get(init, [(init, 0)])
-            hold(held, sum(len(ends[nxt]) for nxt, _ in firsts)
-                 * sum(len(sxs) for _, sxs in images))
+            found = sum(len(ends[nxt]) for nxt, _ in firsts)
+            if not found:
+                continue  # a dead end: X has no complement, so no pair goes in
+            hold(held, found * sum(len(sxs) for _, sxs in images))
             chunks = ((id_mask | cm, piece) for nxt, cm in firsts
                       for piece in _pieces(ends[nxt], deadline))
             xz = (xmask & zc).bit_count()  # shifts and power maps keep |X∩Z|, |Y∩Z|
@@ -465,9 +479,16 @@ def _orbit_counts(G: GroupTable, weights: Counter) -> tuple:
 
 
 def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
-    """Every central shift (zX, wY) of the packed normalized pairs, packed:
-    one list comprehension per pair, the clock read before each piece of
-    pairs whose shifts make at most _CHUNK masks."""
+    """Every central shift (zX, wY) of the packed normalized pairs, packed,
+    one Z x Z orbit at a time.
+
+    The output holds whole orbits, and each pair lies in its own (z = w =
+    1), so a normalized pair already in the output lies in an orbit listed
+    before and is skipped: each orbit costs 2|Z| _image calls and |Z|^2 keys
+    once, however many normalized pairs it holds (up to |X∩Z| |Y∩Z|:
+    C16's 289 lie in 49 orbits, 12 544 keys, where one expansion per pair
+    packed 73 984).  One list comprehension per orbit, the clock read
+    before each piece of pairs whose shifts make at most _CHUNK masks."""
     n, full = G.order, G.full_mask
     zs = tuple(bits(center(G).mask))
     if len(zs) ** 2 * max(len(pairs), 1) > _EXPANSION_CAP:
@@ -477,12 +498,13 @@ def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
         )
     out = set()
 
-    @cache
     def translates(mask):
         return [_image(G.mult[z], mask) for z in zs]
 
     for piece in _pieces(pairs, deadline, max(1, _CHUNK // len(zs) ** 2)):
         for v in piece:
+            if v in out:  # listed with the whole orbit of an earlier pair
+                continue
             tys = translates(v & full)
             out.update([tx << n | ty if tx <= ty else ty << n | tx
                         for tx in translates(v >> n) for ty in tys])
