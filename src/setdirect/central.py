@@ -310,7 +310,7 @@ def class_stabilizer(G: GroupTable, n: int, Z: Subset) -> Subset:
     Computed both directly ({z : nz in n^G}) and as [n, G] intersect Z;
     the two must agree.
     """
-    check_element(G, n)
+    n = check_element(G, n)
     _require_central_subgroup(G, Z)
     part = conjugacy_classes(G)
     cmask = part.class_mask(part.class_of[n])

@@ -94,7 +94,8 @@ class ContainmentViolated(GroupError, ValueError):
 
 
 class ElementOutOfRange(GroupError, ValueError):
-    """An element index is not in 0..order-1 of the group it is used in.
+    """An element index is not an integer in 0..order-1 of the group it is
+    used in.
 
     Also a ValueError, as ForeignSubset is."""
 

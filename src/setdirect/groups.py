@@ -60,10 +60,15 @@ def check_order(n: int, what: str = "order") -> None:
         raise OrderLimitExceeded(f"{what} {n} exceeds the order bound {MAX_ORDER}")
 
 
-def check_element(G: "GroupTable", x: int) -> None:
-    """Raise ElementOutOfRange unless x indexes an element of G."""
+def check_element(G: "GroupTable", x: int) -> int:
+    """x as an int, if it indexes an element of G: an integer (a numpy
+    integer too; a bool is not one, as in group_from_table) in
+    0..order-1.  Otherwise raise ElementOutOfRange."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ElementOutOfRange(f"element index {x!r} is not an integer, for {G.name}")
     if not 0 <= x < G.order:
         raise ElementOutOfRange(f"element index {x} out of range for {G.name}")
+    return int(x)
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -186,8 +191,7 @@ class GroupTable:
     def subset(self, indices: Iterable[int]) -> "Subset":
         m = 0
         for i in indices:
-            check_element(self, i)
-            m |= 1 << i
+            m |= 1 << check_element(self, i)
         return Subset(self, m)
 
     def subset_from_mask(self, mask: int) -> "Subset":
@@ -264,7 +268,7 @@ class Subset:
 
     def translate(self, g: int) -> "Subset":
         """Left translate {g*x : x in S}."""
-        check_element(self.group, g)
+        g = check_element(self.group, g)
         return Subset(self.group, _image(self.group.mult[g], self.mask))
 
     def __repr__(self):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from setdirect.errors import (
     NotNormalSubgroup,
     OrderLimitExceeded,
 )
-from setdirect.central import normal_subgroups
+from setdirect.central import class_stabilizer, normal_subgroups
 from setdirect.factor import SetDirectFactorization
 from setdirect.groups import (
     MAX_ORDER,
@@ -682,28 +683,44 @@ class TestSubgroupView:
         assert isinstance(info.value, ContainmentViolated)
 
 
-class TestElementIndices:
-    """An index outside 0..order-1 ends in ElementOutOfRange, a GroupError
-    that is also a ValueError."""
+def _bad_index(bad) -> str:
+    """The start of ElementOutOfRange's message for the index `bad`."""
+    reason = "out of range" if type(bad) is int else "is not an integer"
+    return re.escape(f"element index {bad!r} {reason}")
 
-    @pytest.mark.parametrize("bad", [-1, 16, 17])
+
+class TestElementIndices:
+    """An index outside 0..order-1, or one that is not an integer, ends in
+    ElementOutOfRange, a GroupError that is also a ValueError; a numpy
+    integer is an index."""
+
+    @pytest.mark.parametrize("bad", [-1, 16, 17, 1.5, 3.0, "3", True, None])
     def test_subset_and_singleton(self, bad):
         g = catalog_group("Q8oC4")
         for build in (lambda: g.subset([0, bad]), lambda: g.singleton(bad)):
-            with pytest.raises(ElementOutOfRange, match=f"element index {bad} out of range"):
+            with pytest.raises(ElementOutOfRange, match=_bad_index(bad)):
                 build()
             with pytest.raises(ValueError):
                 build()
 
-    @pytest.mark.parametrize("bad", [-1, 16])
+    @pytest.mark.parametrize("bad", [-1, 16, 2.0, "3", False, None])
     def test_translate(self, bad):
         g = catalog_group("Q8oC4")
         s = g.subset([0, 1, 5])
-        with pytest.raises(ElementOutOfRange):
+        with pytest.raises(ElementOutOfRange, match=_bad_index(bad)):
             s.translate(bad)
         with pytest.raises(ValueError):
             s.translate(bad)
         assert s.translate(15).mask == mask_of(g.mult[15][x] for x in (0, 1, 5))
+
+    def test_numpy_integers_are_indices(self):
+        g = catalog_group("Q8oC4")
+        s = g.subset([np.int64(3), np.int32(5)])
+        assert type(s.mask) is int and s == g.subset([3, 5])
+        assert g.singleton(np.uint8(15)) == g.singleton(15)
+        assert s.translate(np.int16(2)) == s.translate(2)
+        z = center(g)
+        assert class_stabilizer(g, np.int64(1), z) == class_stabilizer(g, 1, z)
 
 
 def _refused_peak_bytes(build, *args):
