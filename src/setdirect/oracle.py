@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, takewhile
+from numbers import Integral, Real
 from typing import Optional
 
 from .central import class_stabilizer, minimal_normal_subgroups
@@ -102,7 +103,8 @@ class EnumerationResult:
 
 class _Deadline:
     def __init__(self, seconds: float):
-        if not seconds >= 0:  # NaN fails every comparison
+        # a NaN fails every comparison; a str or None would raise TypeError
+        if not isinstance(seconds, Real) or not seconds >= 0:
             raise GroupError(f"time budget must be 0 seconds or more, got {seconds!r}")
         self.t_end = time.perf_counter() + seconds
         self.calls = 0
@@ -581,8 +583,8 @@ def enumerate_setdirect(
     and TimeBudgetExceeded.partial holds the normalized pairs found so far
     as `normalized`, and `total`/`nontrivial` summed over those pairs: lower
     bounds of the exact counts, both 0 before any pair is found.  Its list
-    of factorizations is empty.  A NaN or negative time_budget raises
-    GroupError.
+    of factorizations is empty.  A time_budget that is not a real number,
+    or is NaN or negative, raises GroupError.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
@@ -703,10 +705,13 @@ def property_suite(
     class pair).  On a time-out in a check TimeBudgetExceeded.phase is that
     check's name and .partial a SuiteReport of the checks finished before
     it; a time-out in the oracle propagates with the oracle's own phase.  A
-    NaN or negative time_budget raises GroupError.
+    time_budget that is not a real number, or is NaN or negative, and a
+    samples that is not an integer 0 or more, raise GroupError.
     """
     start = time.perf_counter()
     deadline = _Deadline(time_budget)
+    if not isinstance(samples, Integral) or samples < 0:
+        raise GroupError(f"sample count must be an integer, 0 or more, got {samples!r}")
     rng = random.Random(seed)
     checks = []
     one = 1 << G.identity

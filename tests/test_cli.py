@@ -373,6 +373,11 @@ class TestSuite:
         assert code == 2
         assert "time budget must be" in err and "Traceback" not in err
 
+    def test_negative_sample_count_exit_2(self, capsys):
+        code, out, err = run(capsys, "suite", "C4", "--samples", "-3")
+        assert code == 2 and out == ""
+        assert "sample count must be" in err and "Traceback" not in err
+
     def test_all_catalog_tiny(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--all-catalog", "--max-order", "8", "--samples", "10"

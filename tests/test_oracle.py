@@ -407,7 +407,7 @@ class TestTimeBudget:
             oracle._sorted(values, Reads(3 + 2))
         assert oracle._sorted(values, Reads(100)) == sorted(values)
 
-    @pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf"), "1", None])
     def test_nan_or_negative_budget_is_refused(self, budget):
         with pytest.raises(GroupError, match="time budget must be") as info:
             enumerate_setdirect(catalog_group("C36"), normalized_only=True,
@@ -624,11 +624,16 @@ class TestPropertySuite:
         assert info.value.phase == "search"
         assert isinstance(info.value.partial, oracle.EnumerationResult)
 
-    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, "1", None])
     def test_nan_or_negative_budget_is_refused(self, budget):
         with pytest.raises(GroupError, match="time budget must be") as info:
             property_suite(catalog_group("C4"), time_budget=budget)
         assert not isinstance(info.value, TimeBudgetExceeded)
+
+    @pytest.mark.parametrize("samples", [-1, 2.5, "3", None])
+    def test_a_bad_sample_count_is_refused(self, samples):
+        with pytest.raises(GroupError, match="sample count must be"):
+            property_suite(catalog_group("C4"), samples=samples)
 
     def test_a_failing_check_reports_its_first_failure(self, monkeypatch):
         def rejecting(G, X, Y):
