@@ -239,6 +239,75 @@ def test_listing_is_closed_under_normalizing_shifts(name):
             assert (min(xm, wy), max(xm, wy)) in keys
 
 
+def _naive_centre(g):
+    n, mult = g.order, g.mult
+    return [z for z in range(n) if all(mult[z][x] == mult[x][z] for x in range(n))]
+
+
+def _all_shifts(g, centre, v, memo):
+    """Every (zX, wY), z and w in the centre, of the packed pair v = X << n | Y,
+    packed as the oracle packs an unordered pair, straight from the table;
+    memo keeps the translates of each side."""
+    n, mult = g.order, g.mult
+
+    def shifts(mask):
+        if mask not in memo:
+            members = [x for x in range(n) if mask >> x & 1]
+            memo[mask] = [sum(1 << mult[z][x] for x in members) for z in centre]
+        return memo[mask]
+
+    return {min(a, b) << n | max(a, b)
+            for a in shifts(v >> n) for b in shifts(v & g.full_mask)}
+
+
+def _normalized(g) -> set:
+    pairs = set()
+    oracle._normalized_pairs(g, oracle._Deadline(60.0), pairs, Counter())
+    return pairs
+
+
+EXPAND_GROUPS = [n for n in catalog_names() if catalog_group(n).order <= 32
+                 and len(_naive_centre(catalog_group(n))) > 1]
+
+
+class TestExpand:
+    @pytest.mark.parametrize("name", EXPAND_GROUPS)
+    def test_lists_every_shift_of_every_normalized_pair(self, name):
+        g = catalog_group(name)
+        centre, pairs = _naive_centre(g), _normalized(g)
+        if len(centre) ** 2 * len(pairs) > oracle._EXPANSION_CAP:
+            with pytest.raises(SearchSpaceTooLarge, match="exceeds the cap"):
+                oracle._expand(g, pairs, oracle._Deadline(60.0))
+            return
+        memo = {}
+        naive = set().union(*(_all_shifts(g, centre, v, memo) for v in pairs))
+        assert oracle._expand(g, pairs, oracle._Deadline(60.0)) == naive
+
+    @pytest.mark.parametrize("name", ["C16", "C20"])
+    def test_each_shift_orbit_is_expanded_once(self, name, monkeypatch):
+        # a translate per distinct side takes 2.6 (C16) and 3.0 (C20) times
+        # the images allowed here, one expansion per normalized pair 5.9
+        # and 6.5 times
+        g = catalog_group(name)
+        centre, pairs = _naive_centre(g), _normalized(g)
+        image, calls = oracle._image, []
+
+        def counted(perm, mask):
+            calls.append(mask)
+            return image(perm, mask)
+
+        monkeypatch.setattr(oracle, "_image", counted)
+        left = oracle._expand(g, pairs, oracle._Deadline(60.0))
+        orbits, memo = 0, {}
+        while left:
+            orbit = _all_shifts(g, centre, next(iter(left)), memo)
+            assert orbit <= left
+            left -= orbit
+            orbits += 1
+        assert orbits < len(pairs)
+        assert len(calls) <= 2 * len(centre) * orbits
+
+
 def _packed(lo, hi, n=30):
     """A pair of n-bit masks as the oracle packs it: lo << n | hi."""
     return lo << n | hi
