@@ -65,12 +65,15 @@ def test_traced_spans_cover_the_oracle_operations(monkeypatch, tmp_path):
     # a traced run fails when the outermost spans cover less than
     # MIN_TOP_SPAN_FRAC of the operation time; in oracle_abelian the part of
     # an operation outside enumerate_setdirect's span is the read of its
-    # listing, which --smoke's small slice keeps too short to matter
+    # listing, which --smoke's small slice keeps too short to matter; C16's
+    # full listing reads 4 624 pairs after a short search and expansion, so
+    # its share outside the span is the largest (spans cover 0.957 of it,
+    # 2-vCPU host)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
     from workloads import oracle_abelian
 
-    wanted = ("oracle C24 normalized", "oracle C28 normalized")
+    wanted = ("oracle C24 normalized", "oracle C28 normalized", "oracle C16 full")
     ops = [fn for label, fn in oracle_abelian(random.Random(0), tmp_path, False).ops
            if label in wanted]
     assert len(ops) == len(wanted)
