@@ -265,29 +265,30 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
     pair in is ({1}, G).  Each candidate X (a union of classes holding the
     identity, in the order of _class_unions) whose orbit no earlier X covers
     is completed by Knuth's exact cover, memoized on the covered mask:
-    ends[covered] lists the unions of classes that
-    complete that cover, so two partial Y that cover the same elements are
-    solved once.  A flat post-order loop fills it: the lowest uncovered
-    element g of a covered mask picks the column of classes c, and each c
-    whose product X·c misses the covered elements leads to the mask
-    covered | X·c, solved before covered itself; a dead end keeps an empty
-    list.  A column is cached per X, so a node reads it rather than
-    rebuilding it from the products X·c.  A join copies each successor's
-    non-empty list in slices of at most _CHUNK, the clock read before each
-    slice, with no generator per step; an empty list adds nothing and reads
-    no clock.  X's own completions are read from the ends of its first
-    steps, so its list, the longest, is never built.  When every first step
-    ends empty, X is a dead end (621 of C30's 679 candidates that reach the
-    cover are) and the search goes on to the next candidate with no pair
-    phase: no hold, no chunks, no tally.  Otherwise the pairs of X and of
-    its orbit's images go in, and their shift weights are tallied, in
-    chunks of at most _CHUNK completions, one list comprehension per image;
-    a caller that catches _OutOfTime holds every pair added before the
-    deadline, each with its weight.  An image is a mask carried through a
-    power map, a tuple, by _image.  Before a list is joined and before X's
-    pairs go in, hold() counts the bits then held, and past _HELD_BITS_CAP
-    raises SearchSpaceTooLarge; a dead end adds no pair, so skipping its
-    hold() skips no refusal.
+    ends[covered] lists the unions of classes that complete that cover, so
+    two partial Y that cover the same elements are solved once.  A flat
+    post-order loop fills it: the lowest uncovered element g of a covered
+    mask picks the column of classes c, and each c whose product X·c misses
+    the covered elements leads to the mask covered | X·c, solved before
+    covered itself; a dead end, a mask with no such c, gets its empty list
+    at once, with no join.  A column is cached per X, so a node reads it
+    rather than rebuilding it from the products X·c.  A join copies each
+    successor's non-empty list in slices of at most _CHUNK, the clock read
+    before each slice, with no generator per step; an empty list adds
+    nothing and reads no clock.  X's own completions are read from the ends
+    of its first steps, so its list, the longest, is never built.  When
+    every first step ends empty, X is a dead end (621 of C30's 679
+    candidates that reach the cover are) and the search goes on to the next
+    candidate with no pair phase: no hold, no chunks, no tally.  Otherwise
+    the pairs of X and of its orbit's images go in, and their shift weights
+    are tallied, in chunks of at most _CHUNK completions, one list
+    comprehension per image; a caller that catches _OutOfTime holds every
+    pair added before the deadline, each with its weight.  An image is a
+    mask carried through a power map, a tuple, by _image.  Before a list is
+    joined and before X's pairs go in, hold() counts the bits then held, and
+    past _HELD_BITS_CAP raises SearchSpaceTooLarge; a dead end, of a mask
+    or of X, adds no completion and no pair, so skipping its hold() skips no
+    refusal.
     """
     part = conjugacy_classes(G)
     k = len(part)
@@ -392,10 +393,9 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
                     hold(held, 0)
                     out = []
                     for nxt, cm in steps:
-                        done = ends[nxt]
-                        for i in range(0, len(done), _CHUNK):
+                        for i in range(0, len(ends[nxt]), _CHUNK):
                             deadline.check()
-                            out += [cm | t for t in done[i:i + _CHUNK]]
+                            out += [cm | t for t in ends[nxt][i:i + _CHUNK]]
                     ends[covered] = out
                     continue
                 poll()
@@ -412,14 +412,16 @@ def _normalized_pairs(G: GroupTable, deadline: _Deadline, pairs: set, weights: C
                     ]
                 steps = succ[covered] = [(covered | pm, cm) for pm, cm in col
                                          if not pm & covered]
+                if not steps:  # a dead end: nothing to join
+                    ends[covered] = []
+                    continue
                 stack.append(~covered)
                 stack += [nxt for nxt, _ in steps if nxt not in ends]
 
             # The pairs of X and its images, a chunk of completions at a time;
             # init is never expanded only when it is full, in the trivial group.
             firsts = succ.get(init, [(init, 0)])
-            found = sum(len(ends[nxt]) for nxt, _ in firsts)
-            if not found:
+            if not (found := sum(len(ends[nxt]) for nxt, _ in firsts)):
                 continue  # a dead end: X has no complement, so no pair goes in
             hold(held, found * sum(len(sxs) for _, sxs in images))
             chunks = ((id_mask | cm, piece) for nxt, cm in firsts
@@ -498,18 +500,15 @@ def _expand(G: GroupTable, pairs, deadline: _Deadline) -> set:
             f"expanding {len(pairs)} normalized pairs by {len(zs)}^2 central "
             f"shifts exceeds the cap {_EXPANSION_CAP}; use normalized_only"
         )
-    out = set()
-
-    def translates(mask):
-        return [_image(G.mult[z], mask) for z in zs]
-
+    out, rows = set(), [G.mult[z] for z in zs]
     for piece in _pieces(pairs, deadline, max(1, _CHUNK // len(zs) ** 2)):
         for v in piece:
             if v in out:  # listed with the whole orbit of an earlier pair
                 continue
-            tys = translates(v & full)
+            txs = [_image(row, v >> n) for row in rows]
+            tys = [_image(row, v & full) for row in rows]
             out.update([tx << n | ty if tx <= ty else ty << n | tx
-                        for tx in translates(v >> n) for ty in tys])
+                        for tx in txs for ty in tys])
     return out
 
 
