@@ -528,6 +528,26 @@ class TestTimeBudget:
         assert time.perf_counter() - t0 <= 1.0 + BUDGET_MARGIN_S
         assert pairs
 
+    def test_joins_read_the_clock(self):
+        # A join reads the clock before each slice of a non-empty list, so
+        # the search reads it hundreds of times between two additions of
+        # pairs on C24 (207); the pair phases, the power maps and the
+        # candidates' polls alone make at most 11 such reads in a row.
+        pairs = set()
+
+        class Runs(oracle._Deadline):
+            run = size = longest = 0
+
+            def check(self):
+                super().check()
+                self.run = self.run + 1 if len(pairs) == self.size else 1
+                self.size = len(pairs)
+                self.longest = max(self.longest, self.run)
+
+        deadline = Runs(60.0)
+        oracle._normalized_pairs(catalog_group("C24"), deadline, pairs, Counter())
+        assert deadline.longest > 100
+
     def test_search_does_not_recurse(self):
         g = catalog_group("C30")
         depth, frame = 0, sys._getframe()
