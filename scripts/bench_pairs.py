@@ -5,18 +5,23 @@ Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR
            [--workloads NAME ...] [--seed0 1]
 
 Each tree is a checkout of the repository, for example a `git archive` of
-a commit unpacked in its own directory.  For each workload and each of the
-PAIRS seeds seed0 .. seed0+PAIRS-1, `perfbench/run.py --trace 0` runs once
-from each tree for BENCHMARK.json's "run_seconds", one process per run: the
-parent first on odd seeds and the change first on even ones, so that a
-drift in the host's speed falls on both sides alike.  A run that is not "correct": true with 0 failed
-operations, or one that outlasts RUN_TIMEOUT_S, stops the script.
+a commit unpacked in its own directory.  For each workload, one
+`perfbench/run.py --trace 1` run from the change tree comes first, with
+seed seed0: run.py exits non-zero when the tracer's outermost spans cover
+less than its MIN_TOP_SPAN_FRAC of the operation time.  Then, for each of
+the PAIRS seeds seed0 .. seed0+PAIRS-1, `perfbench/run.py --trace 0` runs
+once from each tree for BENCHMARK.json's "run_seconds", one process per
+run: the parent first on odd seeds and the change first on even ones, so
+that a drift in the host's speed falls on both sides alike.  A run that is
+not "correct": true with 0 failed operations, a traced run that reports no
+TRACE_METRICS, or a run that outlasts RUN_TIMEOUT_S, stops the script.
 
 Prints one JSON object on stdout: the command, the protocol, the rows of
 every run per workload and side, and per workload a summary of each
 end-to-end metric named in this repository's BENCHMARK.json: the median
 and quartiles of each side, the pairs in which the change is better, and
-the change's relative difference of medians.  Progress goes to stderr.
+the change's relative difference of medians; its "traced" entry holds the
+traced run's seed and TRACE_METRICS.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -32,17 +37,19 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10  # alternating pairs per workload, the fewest that can support a claimed gain
 RUN_TIMEOUT_S = 900  # a 25 s run, set-up samples and checks included, took under 40 s (2 vCPUs)
+TRACE_METRICS = ("trace.top_span_frac", "trace.overhead_frac")
 
 
 def benchmark_spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run of perfbench from `tree`, as a row: correct, attempted,
-    failed, the end-to-end metrics and the seed."""
+    failed, the metrics (end-to-end ones, or per-layer ones with trace 1)
+    and the seed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = done.stdout.strip().splitlines()
     try:
@@ -56,6 +63,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     row.update({k: round(m["value"], 6) for k, m in out["metrics"].items()})
     row["seed"] = seed
     return row
+
+
+def traced_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One --trace 1 run from `tree`: its seed and TRACE_METRICS."""
+    row = run_once(tree, workload, seed, seconds, trace=1)
+    if not all(k in row for k in TRACE_METRICS):  # run.py made no traced pass
+        sys.exit(f"bench_pairs: {workload} seed {seed} in {tree} reported no "
+                 f"{' or '.join(TRACE_METRICS)}")
+    return {"seed": seed, **{k: row[k] for k in TRACE_METRICS}}
 
 
 def quartiles(values) -> tuple:
@@ -104,19 +120,23 @@ def main(argv=None) -> int:
 
     workloads, summary = {}, {}
     for workload in args.workloads:
+        print(f"bench_pairs: {workload} seed {seeds[0]} change, traced", file=sys.stderr)
+        traced = traced_run(trees["change"], workload, seeds[0], seconds)
         rows = {side: [] for side in SIDES}
         for seed in seeds:
             for side in SIDES if seed % 2 else reversed(SIDES):
                 print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr)
                 rows[side].append(run_once(trees[side], workload, seed, seconds))
         workloads[workload] = rows
-        summary[workload] = summarize(rows, metrics)
+        summary[workload] = summarize(rows, metrics) | {"traced": traced}
 
     print(json.dumps({
         "command": f"python3 perfbench/run.py --workload <name> --seed <n> "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace <0|1>",
         "protocol": f"parent {trees['parent'].name} and change {trees['change'].name}, "
-                    f"one process per run; seeds {seeds[0]}-{seeds[-1]}, parent first on odd seeds "
+                    f"one process per run; per workload one --trace 1 run of the change "
+                    f"with seed {seeds[0]}, then --trace 0 runs with "
+                    f"seeds {seeds[0]}-{seeds[-1]}, parent first on odd seeds "
                     f"and change first on even ones; medians and inclusive quartiles "
                     f"over the seeds; every run printed \"correct\": true with 0 failed "
                     f"operations",

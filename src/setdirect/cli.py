@@ -33,7 +33,13 @@ from .factor import (
     verify_main_theorem,
 )
 from .groups import GroupTable, Subset, bits, center, check_element, conjugacy_classes
-from .oracle import DEFAULT_SAMPLES, DEFAULT_TIME_BUDGET, enumerate_setdirect, property_suite
+from .oracle import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TIME_BUDGET,
+    check_sample_count,
+    enumerate_setdirect,
+    property_suite,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -293,6 +299,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    check_sample_count(args.samples)  # once, though no group is run
     if args.all_catalog:
         groups = [G for G in map(catalog_group, catalog_names())
                   if G.order <= args.max_order_filter]

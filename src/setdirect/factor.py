@@ -62,14 +62,24 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SetDirectFactorization:
-    """A pair of normal subsets whose product is direct (when certified)."""
+    """A pair of normal subsets whose product is direct (when certified).
+
+    Frozen, slotted, and hashed and compared by its four fields.  Like
+    Subset's, its __init__ is written by hand to set each slot through the
+    slot's own setter, which the oracle's listing calls once per pair."""
 
     group: GroupTable
     x: Subset
     y: Subset
     certified: bool
+
+    def __init__(self, group: GroupTable, x: Subset, y: Subset, certified: bool):
+        _set_group(self, group)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_certified(self, certified)
 
     def covers_group(self) -> bool:
         return _product_mask(self.group, self.x.mask, self.y.mask) == self.group.full_mask
@@ -88,6 +98,12 @@ class SetDirectFactorization:
     def unordered_key(self):
         a, b = sorted((self.x.mask, self.y.mask))
         return (a, b)
+
+
+_set_group, _set_x, _set_y, _set_certified = (
+    f.__set__ for f in (SetDirectFactorization.group, SetDirectFactorization.x,
+                        SetDirectFactorization.y, SetDirectFactorization.certified)
+)
 
 
 @dataclass(frozen=True)

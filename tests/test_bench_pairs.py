@@ -1,8 +1,10 @@
-"""scripts/bench_pairs.py's summary arithmetic on fixed rows; no benchmark
-run is started."""
+"""scripts/bench_pairs.py's summary arithmetic on fixed rows, and its
+commands and parsing with subprocess.run replaced; no benchmark run is
+started."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,66 @@ def test_a_committed_summary_is_reproduced_from_its_rows(name):
     metrics = [(m["name"], m["better"]) for m in bench_pairs.benchmark_spec()["end_to_end"]]
     for workload, rows in bench["workloads"].items():
         assert bench_pairs.summarize(rows, metrics) == bench["summary"][workload], workload
+
+
+def _fake_runs(monkeypatch, returncode=0, traced=None):
+    """Replace subprocess.run with a fake perfbench/run.py that records each
+    call: a traced run reports `traced` (the tracing shares by default), an
+    untraced one every end-to-end metric, worth 1.0 on the parent's tree."""
+    calls = []
+
+    def fake(cmd, cwd, **kwargs):
+        calls.append((list(cmd), Path(cwd)))
+        if cmd[cmd.index("--trace") + 1] == "1":
+            metrics = {"trace.top_span_frac": 0.96, "trace.overhead_frac": 0.02,
+                       "oracle.enumerate_setdirect.calls": 12} if traced is None else traced
+        else:
+            value = 1.0 if Path(cwd).name == "parent" else 0.5
+            metrics = {m["name"]: value for m in bench_pairs.benchmark_spec()["end_to_end"]}
+        out = {"correct": returncode == 0, "attempted": 7, "failed": 0,
+               "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+        return subprocess.CompletedProcess(cmd, returncode, f"perfbench: notes\n{json.dumps(out)}\n",
+                                           "perfbench: traced spans do not account for it")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    return calls
+
+
+def test_a_traced_run_keeps_its_seed_and_tracing_shares(monkeypatch, tmp_path):
+    calls = _fake_runs(monkeypatch)
+    got = bench_pairs.traced_run(tmp_path, "oracle_abelian", 2501, 25)
+    assert got == {"seed": 2501, "trace.top_span_frac": 0.96, "trace.overhead_frac": 0.02}
+    (cmd, cwd), = calls
+    assert cwd == tmp_path
+    assert cmd[1:] == ["perfbench/run.py", "--workload", "oracle_abelian", "--seed", "2501",
+                       "--seconds", "25", "--trace", "1"]
+
+
+@pytest.mark.parametrize("returncode, traced", [
+    (1, None),  # run.py's exit below MIN_TOP_SPAN_FRAC
+    (0, {}),  # no traced pass, so no tracing shares
+])
+def test_a_failed_traced_run_stops_the_script(monkeypatch, tmp_path, returncode, traced):
+    _fake_runs(monkeypatch, returncode, traced)
+    with pytest.raises(SystemExit, match="oracle_abelian seed 3"):
+        bench_pairs.traced_run(tmp_path, "oracle_abelian", 3, 25)
+
+
+def test_main_runs_the_change_traced_before_the_pairs(monkeypatch, tmp_path, capsys):
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    calls = _fake_runs(monkeypatch)
+    assert bench_pairs.main([str(t) for t in trees] + [
+        "--workloads", "roundtrip", "--seed0", "4"]) == 0
+    assert len(calls) == 1 + 2 * bench_pairs.PAIRS
+    (cmd, cwd), rest = calls[0], calls[1:]
+    assert cwd == trees[1] and cmd[cmd.index("--seed") + 1] == "4"
+    assert cmd[cmd.index("--trace") + 1] == "1"
+    assert all(c[c.index("--trace") + 1] == "0" for c, _ in rest)
+    # the parent first on odd seeds, the change first on even ones
+    assert [cwd.name for _, cwd in rest[:4]] == ["change", "parent", "parent", "change"]
+    out = json.loads(capsys.readouterr().out)
+    summary = out["summary"]["roundtrip"]
+    assert summary["traced"] == {"seed": 4, "trace.top_span_frac": 0.96,
+                                 "trace.overhead_frac": 0.02}
+    assert summary["solve_s"]["change_better_pairs"] == f"{bench_pairs.PAIRS}/{bench_pairs.PAIRS}"
+    assert [r["seed"] for r in out["workloads"]["roundtrip"]["change"]] == list(range(4, 14))

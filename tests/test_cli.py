@@ -378,6 +378,15 @@ class TestSuite:
         assert code == 2 and out == ""
         assert "sample count must be" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("where", [
+        ["C4", "--time-budget-secs", "0"],  # no group runs: the budget is used up
+        ["--all-catalog", "--max-order", "0"],  # no group is selected
+    ])
+    def test_negative_sample_count_is_refused_before_any_group(self, capsys, where):
+        code, out, err = run(capsys, "suite", *where, "--samples", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: GroupError: sample count must be an integer, 0 or more, got -3\n"
+
     def test_all_catalog_tiny(self, capsys):
         code, out, _ = run(
             capsys, "suite", "--all-catalog", "--max-order", "8", "--samples", "10"

@@ -1,8 +1,12 @@
 """Group construction, classes, centers, products, quotients."""
 
+import copy
+import dataclasses
 import hashlib
+import io
 import itertools
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -348,6 +352,13 @@ class TestTablesFromGenerators:
         assert 2 ** len(g.generators) <= g.order
 
 
+def _one_of_each():
+    """A Subset and a SetDirectFactorization of C4, built by keyword."""
+    g = catalog_group("C4")
+    x = Subset(mask=0b0011, group=g)
+    return x, SetDirectFactorization(g, y=Subset(g, 0b0101), x=x, certified=True)
+
+
 class TestSlots:
     def test_subsets_and_factorizations_have_no_dict(self):
         g = catalog_group("C4")
@@ -358,6 +369,74 @@ class TestSlots:
         assert x == Subset(g, 0b0011) and hash(x) == hash(Subset(g, 0b0011))
         with pytest.raises(AttributeError):
             x.mask = 1
+
+    # Subset and SetDirectFactorization set their slots in a hand-written
+    # __init__; they stay frozen, slotted dataclasses with the same fields
+
+    def test_keyword_construction_and_missing_arguments(self):
+        x, f = _one_of_each()
+        g = x.group
+        assert (x.group, x.mask) == (g, 0b0011)
+        assert (f.group, f.x, f.y.mask, f.certified) == (g, x, 0b0101, True)
+        with pytest.raises(TypeError):
+            Subset(g)
+        with pytest.raises(TypeError):
+            SetDirectFactorization(g, x, x)
+
+    def test_field_names_and_order(self):
+        assert [fd.name for fd in dataclasses.fields(Subset)] == ["group", "mask"]
+        assert [fd.name for fd in dataclasses.fields(SetDirectFactorization)] == [
+            "group", "x", "y", "certified"]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_init_sets_every_field(self, which):
+        obj = _one_of_each()[which]  # an unset slot raises AttributeError on read
+        assert all(hasattr(obj, fd.name) for fd in dataclasses.fields(obj))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_every_field_is_frozen(self, which):
+        obj = _one_of_each()[which]
+        for fd in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, fd.name, getattr(obj, fd.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, fd.name)
+
+    def test_replace(self):
+        x, f = _one_of_each()
+        assert dataclasses.replace(x, mask=0b1000) == Subset(x.group, 0b1000)
+        g = f.group
+        assert dataclasses.replace(f, certified=False) == SetDirectFactorization(
+            g, x, Subset(g, 0b0101), False)
+        assert dataclasses.replace(f) == f
+
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("clone", ["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trip(self, which, clone):
+        """Tables compare by identity, so the deep copies keep the table."""
+        obj = _one_of_each()[which]
+        g = obj.group
+        if clone == "copy":
+            got = copy.copy(obj)
+        elif clone == "deepcopy":
+            got = copy.deepcopy(obj, {id(g): g})
+        else:
+            buf = io.BytesIO()
+            pickler = pickle.Pickler(buf)
+            pickler.persistent_id = lambda o: "G" if o is g else None
+            pickler.dump(obj)
+            buf.seek(0)
+            unpickler = pickle.Unpickler(buf)
+            unpickler.persistent_load = lambda pid: g
+            got = unpickler.load()
+        assert got is not obj and type(got) is type(obj)
+        assert got == obj and hash(got) == hash(obj)
+
+    def test_repr_is_unchanged(self):
+        x, f = _one_of_each()
+        assert repr(x) == "Subset(C4: {1,z})"
+        assert repr(f) == ("SetDirectFactorization(group=GroupTable('C4', order=4), "
+                           "x=Subset(C4: {1,z}), y=Subset(C4: {1,z^2}), certified=True)")
 
 
 class TestCentralProduct:
@@ -712,6 +791,18 @@ class TestElementIndices:
         with pytest.raises(ValueError):
             s.translate(bad)
         assert s.translate(15).mask == mask_of(g.mult[15][x] for x in (0, 1, 5))
+
+    @pytest.mark.parametrize("value", ["1", None, 1.5, 1.0, True, False, -1, 16, 2**70])
+    def test_what_is_not_an_index_is_no_member(self, value):
+        s = catalog_group("Q8oC4").subset([0, 1, 5])
+        assert value not in s
+
+    def test_membership_of_indices(self):
+        s = catalog_group("Q8oC4").subset([0, 1, 5])
+        assert [i for i in range(16) if i in s] == [0, 1, 5]
+        assert np.int64(5) in s and np.uint8(2) not in s
+        wide = catalog_group("C100").subset([3, 90])  # a mask wider than 64 bits
+        assert np.int64(90) in wide and np.int64(89) not in wide
 
     def test_numpy_integers_are_indices(self):
         g = catalog_group("Q8oC4")
