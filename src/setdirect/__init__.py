@@ -26,7 +26,6 @@ from .factor import (
     DirectnessReport,
     FactorizationSystem,
     MainTheoremReport,
-    SetDirectFactorization,
     SystemReport,
     TransversalResult,
     certify,
@@ -46,6 +45,7 @@ from .factor import (
 from .groups import (
     ClassPartition,
     GroupTable,
+    SetDirectFactorization,
     Subset,
     SubgroupView,
     center,

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from functools import cache
 
 from . import __version__
@@ -22,7 +21,7 @@ from .central import (
     is_central_product,
     semi_regular_elements,
 )
-from .errors import GroupError, OrderLimitExceeded, SearchSpaceTooLarge, TimeBudgetExceeded
+from .errors import GroupError, OrderLimitExceeded, SearchSpaceTooLarge
 from .factor import (
     construct_from_system,
     cyclic_center_factorization,
@@ -36,6 +35,7 @@ from .groups import GroupTable, Subset, bits, center, check_element, conjugacy_c
 from .oracle import (
     DEFAULT_SAMPLES,
     DEFAULT_TIME_BUDGET,
+    _Deadline,
     check_sample_count,
     enumerate_setdirect,
     property_suite,
@@ -208,22 +208,19 @@ def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> Non
 def cmd_factorize(args) -> int:
     G = load_group(args.group)
     method = args.method
+    deadline = _Deadline(args.time_budget_secs)  # every method refuses a NaN or negative one
 
     if method == "oracle":
-        budget = args.time_budget_secs  # the oracle refuses a NaN or negative one
-        t_end = time.perf_counter() + budget
         result = enumerate_setdirect(
             G,
             normalized_only=args.normalized,
             nontrivial_only=args.nontrivial,
-            time_budget=budget,
+            time_budget=deadline.left(),
         )
 
         def check_time():  # the verifier reports get what is left of the budget
-            if time.perf_counter() > t_end:
-                raise TimeBudgetExceeded(
-                    f"time budget {budget}s exhausted on {G.name} in the report phase",
-                    partial=result, phase="report")
+            if not deadline.left():
+                raise deadline.exceeded(G.name, "report", result)
 
         _emit_factorizations(G, result.factorizations, args.emit, check_time)
         print(
@@ -308,18 +305,14 @@ def cmd_suite(args) -> int:
     else:
         print("suite: give a group or --all-catalog", file=sys.stderr)
         return EXIT_ERROR
-    budget = args.time_budget_secs
-    t_end = time.perf_counter() + budget  # one deadline for the whole run
+    deadline = _Deadline(args.time_budget_secs)  # one for the whole run, groups or none
     failures = 0
     for G in groups:
-        left = t_end - time.perf_counter()
-        if left <= 0 <= budget:  # property_suite refuses a NaN or negative budget
-            print(f"{G.name:12s} SKIP  the run's time budget {budget}s is used up")
+        if not (left := deadline.left()):
+            print(f"{G.name:12s} SKIP  the run's time budget {deadline.seconds}s is used up")
             continue
         try:
-            # what is left of the run's budget, to the millisecond for the message
-            rep = property_suite(G, samples=args.samples, seed=args.seed,
-                                 time_budget=round(left, 3))
+            rep = property_suite(G, samples=args.samples, seed=args.seed, time_budget=left)
         except SearchSpaceTooLarge as exc:  # a time-out's message names its phase
             print(f"{G.name:12s} SKIP  {exc}")
             continue

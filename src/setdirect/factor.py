@@ -45,6 +45,7 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
+    SetDirectFactorization,
     Subset,
     SubgroupView,
     _generators,
@@ -59,50 +60,6 @@ from .groups import (
     is_normal_subset,
     mask_of,
     subgroup_view,
-)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class SetDirectFactorization:
-    """A pair of normal subsets whose product is direct (when certified).
-
-    Frozen, slotted, and hashed and compared by its four fields.  Like
-    Subset's, its __init__ is written by hand to set each slot through the
-    slot's own setter, which the oracle's listing calls once per pair."""
-
-    group: GroupTable
-    x: Subset
-    y: Subset
-    certified: bool
-
-    def __init__(self, group: GroupTable, x: Subset, y: Subset, certified: bool):
-        _set_group(self, group)
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_certified(self, certified)
-
-    def covers_group(self) -> bool:
-        return _product_mask(self.group, self.x.mask, self.y.mask) == self.group.full_mask
-
-    def is_normalized(self) -> bool:
-        e = self.group.identity
-        return e in self.x and e in self.y
-
-    def is_nontrivial(self) -> bool:
-        zmask = center(self.group).mask
-        for side in (self.x, self.y):
-            if len(side) == 1 and side.mask & zmask:
-                return False
-        return True
-
-    def unordered_key(self):
-        a, b = sorted((self.x.mask, self.y.mask))
-        return (a, b)
-
-
-_set_group, _set_x, _set_y, _set_certified = (
-    f.__set__ for f in (SetDirectFactorization.group, SetDirectFactorization.x,
-                        SetDirectFactorization.y, SetDirectFactorization.certified)
 )
 
 
@@ -136,8 +93,8 @@ def is_direct(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
     - difference builds the smaller of XX^-1 and YY^-1, then translates the
       other side by one element per class of it, or scans the other
       difference set when that is cheaper (_differences_meet_trivially);
-    - partition lays down the translates {Xy} up to the first overlap, and
-      tries {xY} only when {Xy} fails;
+    - partition lays down the translates {Xy} up to the first overlap, as
+      {xY} overlap iff they do (x1 y1 = x2 y2 forces y1 = y2 iff x1 = x2);
     - cardinality is False by pigeonhole when |X||Y| > |G|, and otherwise
       counts |XY| from its own product.
     """
@@ -211,10 +168,7 @@ def _directness(
     xmem, ymem = X.members(), Y.members()
     multiplicity_ok = _unique_products(G, xmem, ymem)
     difference_ok = _differences_meet_trivially(G, xmem, ymem)
-    partition_ok = (
-        _disjoint(_left_translates(G, ymem, xmem))  # {yX} = {Xy}: X is normal
-        or _disjoint(_left_translates(G, xmem, ymem))  # {xY}
-    )
+    partition_ok = _disjoint(_left_translates(G, ymem, xmem))  # {yX} = {Xy}: X is normal
     size = len(xmem) * len(ymem)
     xy = None if size > G.order else _product_mask(G, X.mask, Y.mask)
     cardinality_ok = xy is not None and xy.bit_count() == size

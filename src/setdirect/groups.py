@@ -1,15 +1,17 @@
 """Finite groups as dense multiplication tables, with subsets as bitmasks.
 
 Elements are integers 0..n-1.  A Subset is an immutable bitmask over the
-element range of a fixed GroupTable.  The table, partitions and subsets
-never change after construction.  What a table derives from itself alone is
-a cached_property of it: a generating set, whether it is abelian, the
-classes, the centre, the label index, the memo of subgroup joins <H, g>
-keyed by a subgroup mask and an element, and the memo of central-product
-checks keyed by a pair of subgroup masks.  Each is computed on first use
-and gives the same result on every use, so every operation in this module
-is a pure function of its inputs; the two memos hold at most _MEMO_HELD
-entries each.  Every subgroup closure, the table's generating set
+element range of a fixed GroupTable, and a SetDirectFactorization a pair of
+them: the one result type of the constructions and of the oracle, kept here
+so that neither route imports the other's module.  The table, partitions,
+subsets and pairs never change after construction.  What a table derives
+from itself alone is a cached_property of it: a generating set, whether it
+is abelian, the classes, the centre, the label index, the memo of subgroup
+joins <H, g> keyed by a subgroup mask and an element, and the memo of
+central-product checks keyed by a pair of subgroup masks.  Each is computed
+on first use and gives the same result on every use, so every operation in
+this module is a pure function of its inputs; the two memos hold at most
+_MEMO_HELD entries each.  Every subgroup closure, the table's generating set
 included, is grown by one greedy walk, _generators.
 """
 
@@ -295,6 +297,50 @@ class Subset:
 
 
 _set_subset_group, _set_subset_mask = Subset.group.__set__, Subset.mask.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class SetDirectFactorization:
+    """A pair of normal subsets whose product is direct (when certified).
+
+    Frozen, slotted, and hashed and compared by its four fields.  Like
+    Subset's, its __init__ is written by hand to set each slot through the
+    slot's own setter, which the oracle's listing calls once per pair."""
+
+    group: GroupTable
+    x: Subset
+    y: Subset
+    certified: bool
+
+    def __init__(self, group: GroupTable, x: Subset, y: Subset, certified: bool):
+        _set_group(self, group)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_certified(self, certified)
+
+    def covers_group(self) -> bool:
+        return _product_mask(self.group, self.x.mask, self.y.mask) == self.group.full_mask
+
+    def is_normalized(self) -> bool:
+        e = self.group.identity
+        return e in self.x and e in self.y
+
+    def is_nontrivial(self) -> bool:
+        zmask = center(self.group).mask
+        for side in (self.x, self.y):
+            if len(side) == 1 and side.mask & zmask:
+                return False
+        return True
+
+    def unordered_key(self):
+        a, b = sorted((self.x.mask, self.y.mask))
+        return (a, b)
+
+
+_set_group, _set_x, _set_y, _set_certified = (
+    f.__set__ for f in (SetDirectFactorization.group, SetDirectFactorization.x,
+                        SetDirectFactorization.y, SetDirectFactorization.certified)
+)
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,20 @@ so the search counts the pairs by that one weight |X∩Z| |Y∩Z|, and the
 nontrivial count is the total less the |Z| shifts ({z}, G) of ({1}, G).  The
 shifts themselves are built only for a full listing, one Z x Z orbit at a
 time: a normalized pair met again lies in an orbit already listed whole.
-Nothing here consults the structural verifier.
+The search, the listing and find_normal_transversal use the group layer
+alone; only property_suite consults the verifier and the central layer.
 
 An unordered pair of masks lo <= hi is held as the one int lo << |G| | hi
 from the search to the listing, so numeric order is the order of (lo, hi).
 A run goes search, expand (full listing only), sort (chunks, then one merge
-in pieces), listing, each phase under one deadline.  The pairs are added,
-expanded and listed in bulk, a list comprehension over at most _CHUNK masks
-at a time (a join of the cover's completion lists takes each in slices of
-that many), and the clock is read before each such step; the search also
-polls it once per candidate X and once per exact-cover state.  A candidate
-X with no completion goes on to the next with no pair phase.  The
-candidate volume, the mask bits the search holds and the expansion have
-fixed caps.
+in pieces), listing, each phase under one _Deadline, a command's one clock.
+The pairs are added, expanded and listed in bulk, a list comprehension over
+at most _CHUNK masks at a time (a join of the cover's completion lists takes
+each in slices of that many), and the clock is read before each such step;
+the search also polls it once per candidate X and once per exact-cover
+state.  A candidate X with no completion goes on to the next with no pair
+phase.  The candidate volume, the mask bits the search holds and the
+expansion have fixed caps.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ from .errors import (
     TimeBudgetExceeded,
     internal_check,
 )
-from .factor import SetDirectFactorization, is_direct, verify_main_theorem
+from .factor import is_direct, verify_main_theorem
 from .groups import (
     GroupTable,
+    SetDirectFactorization,
     Subset,
     _image,
     _is_subgroup_mask,
@@ -102,11 +104,14 @@ class EnumerationResult:
 
 
 class _Deadline:
+    """A command's one clock: a budget of `seconds`, 0 or more, from `start`."""
+
     def __init__(self, seconds: float):
         # a NaN fails every comparison; a str or None would raise TypeError
         if not isinstance(seconds, Real) or not seconds >= 0:
             raise GroupError(f"time budget must be 0 seconds or more, got {seconds!r}")
-        self.t_end = time.perf_counter() + seconds
+        self.seconds = seconds
+        self.start = time.perf_counter()
         self.calls = 0
 
     def poll(self):
@@ -117,8 +122,18 @@ class _Deadline:
 
     def check(self):
         """Read the clock now: before a step of much work, such as a sort."""
-        if time.perf_counter() > self.t_end:
+        if time.perf_counter() - self.start > self.seconds:
             raise _OutOfTime
+
+    def left(self) -> float:
+        """The seconds left, never negative, to the millisecond a message shows."""
+        return max(0.0, round(self.start + self.seconds - time.perf_counter(), 3))
+
+    def exceeded(self, name: str, phase: str, partial, step: str = "phase") -> TimeBudgetExceeded:
+        """The time-out of a run on the group `name` in `phase`, with its partial result."""
+        return TimeBudgetExceeded(
+            f"time budget {self.seconds}s exhausted on {name} in the {phase} {step}",
+            partial=partial, phase=phase)
 
 
 class _OutOfTime(Exception):
@@ -580,7 +595,9 @@ def enumerate_setdirect(
     The phases run in the order search, expand (full listing only), sort,
     listing; each pair is one packed int through all of them, and the list
     is sorted once.  time_budget bounds them all: each bulk step covers at
-    most 4096 masks (or one pair's |Z|^2 shifts) and reads the clock first.
+    most 4096 masks (or one pair's |Z|^2 shifts) and reads the clock first:
+    on C45 (normalized_only, 3 s, 2-vCPU host) it raised at most 0.23 s late,
+    and freeing the 5 million pairs its traceback holds ended 0.35 s late.
     On a time-out TimeBudgetExceeded.phase names the phase it ran out in,
     and TimeBudgetExceeded.partial holds the normalized pairs found so far
     as `normalized`, and `total`/`nontrivial` summed over those pairs: lower
@@ -588,7 +605,6 @@ def enumerate_setdirect(
     of factorizations is empty.  A time_budget that is not a real number,
     or is NaN or negative, raises GroupError.
     """
-    start = time.perf_counter()
     deadline = _Deadline(time_budget)
     pairs, weights = set(), Counter()
     phase = "search"
@@ -610,15 +626,11 @@ def enumerate_setdirect(
         facts = None  # raised below, so the exception keeps no search frame as context
     total, nontrivial = _orbit_counts(G, weights)
     result = EnumerationResult(
-        G.name, facts or [], total, nontrivial, len(pairs), time.perf_counter() - start
+        G.name, facts or [], total, nontrivial, len(pairs), time.perf_counter() - deadline.start
     )
     if facts is not None:
         return result
-    raise TimeBudgetExceeded(
-        f"time budget {time_budget}s exhausted on {G.name} in the {phase} phase",
-        partial=result,
-        phase=phase,
-    )
+    raise deadline.exceeded(G.name, phase, result)
 
 
 def find_normal_transversal(G: GroupTable, Z: Subset) -> Optional[Subset]:
@@ -716,7 +728,6 @@ def property_suite(
     time_budget that is not a real number, or is NaN or negative, and a
     samples that is not an integer 0 or more, raise GroupError.
     """
-    start = time.perf_counter()
     deadline = _Deadline(time_budget)
     check_sample_count(samples)
     rng = random.Random(seed)
@@ -736,15 +747,11 @@ def property_suite(
             return ""
         except _OutOfTime:
             pass  # raised below, so the exception keeps no case's frame as context
-        raise TimeBudgetExceeded(
-            f"time budget {time_budget}s exhausted on {G.name} in the {name} check",
-            partial=SuiteReport(G.name, checks, time.perf_counter() - start),
-            phase=name,
-        )
+        partial = SuiteReport(G.name, checks, time.perf_counter() - deadline.start)
+        raise deadline.exceeded(G.name, name, partial, "check")
 
     facts = enumerate_setdirect(
-        G, normalized_only=True, time_budget=max(0.0, deadline.t_end - time.perf_counter())
-    ).factorizations
+        G, normalized_only=True, time_budget=deadline.left()).factorizations
 
     def verifier_failure(f) -> str:
         report = verify_main_theorem(G, f.x, f.y)
@@ -812,4 +819,4 @@ def property_suite(
             "class_pairs_nondirect", abelian or not witness,
             f"skipped: abelian minimal normal subgroup; {witness}" if abelian else witness))
 
-    return SuiteReport(G.name, checks, time.perf_counter() - start)
+    return SuiteReport(G.name, checks, time.perf_counter() - deadline.start)

@@ -41,7 +41,9 @@ def naive_is_direct(G: GroupTable, xs, ys) -> bool:
 def reference_directness(G: GroupTable, xs, ys) -> DirectnessReport:
     """The four directness criteria, each computed in full with no early
     exit: product counts, both difference sets, both translate families and
-    |XY|.  The fields are returned as found, unchecked for agreement."""
+    |XY|.  The fields are returned as found, unchecked for agreement, but
+    the two families must agree: x1 y1 = x2 y2 with y1 != y2 forces x1 != x2,
+    and the other way round, so {Xy} overlaps iff {xY} does."""
     mult, inv = G.mult, G.inv
     counts = naive_product_counts(G, xs, ys)
     multiplicity_ok = all(c == 1 for c in counts.values())
@@ -56,7 +58,8 @@ def reference_directness(G: GroupTable, xs, ys) -> DirectnessReport:
 
     right = [{mult[x][y] for x in xs} for y in ys]   # {Xy}
     left = [{mult[x][y] for y in ys} for x in xs]    # {xY}
-    partition_ok = disjoint(right) or disjoint(left)
+    partition_ok = disjoint(right)
+    assert disjoint(left) == partition_ok, "the translate families {Xy} and {xY} disagree"
 
     cardinality_ok = len(counts) == len(xs) * len(ys)
     return DirectnessReport(

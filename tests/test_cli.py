@@ -202,10 +202,14 @@ class TestFactorize:
         assert code == 2 and "NotSemiRegular" in err
 
     @pytest.mark.parametrize("budget", ["nan", "-1"])
-    def test_nan_or_negative_budget_exit_2(self, capsys, budget):
-        code, _, err = run(capsys, "factorize", "C36", "--normalized",
-                           "--time-budget-secs", budget)
-        assert code == 2
+    @pytest.mark.parametrize("method", [
+        ["C36", "--normalized"],  # the oracle
+        ["C4", "--method", "prime-power", "--element", "1"],
+        ["C4", "--method", "transversal"],
+    ])
+    def test_nan_or_negative_budget_exit_2(self, capsys, budget, method):
+        code, out, err = run(capsys, "factorize", *method, "--time-budget-secs", budget)
+        assert code == 2 and out == ""
         assert "time budget must be" in err and "Traceback" not in err
 
     def test_prime_power_c4(self, capsys):
@@ -368,9 +372,11 @@ class TestSuite:
         assert code == 2 and out == ""
         assert "give a group or --all-catalog" in err
 
-    def test_nan_budget_exit_2(self, capsys):
-        code, _, err = run(capsys, "suite", "C4", "--time-budget-secs", "nan")
-        assert code == 2
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    @pytest.mark.parametrize("where", [["C4"], ["--all-catalog", "--max-order", "0"]])
+    def test_nan_budget_exit_2(self, capsys, budget, where):
+        code, out, err = run(capsys, "suite", *where, "--time-budget-secs", budget)
+        assert code == 2 and out == ""
         assert "time budget must be" in err and "Traceback" not in err
 
     def test_negative_sample_count_exit_2(self, capsys):
@@ -615,9 +621,24 @@ def _exit_code(argv) -> int:
 
 @given(argv=argv_lists())
 @example(argv=["suite", "C4", "--samples", str(10**14), "--time-budget-secs", "0.1"])
+@example(argv=["suite", "--all-catalog", "--max-order", "0", "--time-budget-secs", "nan"])
+@example(argv=["factorize", "C4", "--method", "prime-power", "--element", "1",
+               "--time-budget-secs", "-1"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_fuzz_argv_exits_cleanly(argv):
-    assert _exit_code(argv) in (0, 1, 2)
+    code = _exit_code(argv)
+    assert code in (0, 1, 2)
+    budgets = [v for opt, v in zip(argv, argv[1:]) if opt == "--time-budget-secs"]
+    if (argv[0] in ("factorize", "suite") and budgets[-1:] in (["nan"], ["-1"], ["-inf"])
+            and not any(map(_asks_help_or_version, argv))):
+        assert code == 2, argv  # refused, whatever the command selects
+
+
+def _asks_help_or_version(token: str) -> bool:
+    """Whether argparse may read `token` as -h (-hx too), --help or
+    --version, or an abbreviation of either, and exit 0."""
+    return token.startswith("-h") or len(token) > 2 and (
+        "--help".startswith(token) or "--version".startswith(token))
 
 
 CATALOG_NAMES = GROUP_NAMES | ENTRIES

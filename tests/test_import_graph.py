@@ -55,16 +55,32 @@ def test_no_module_imports_the_command_line(module):
 @pytest.mark.parametrize(
     "source, names",
     [
-        # the listing's result type and the property suite's cross-checks
-        ("factor", {"SetDirectFactorization", "is_direct", "verify_main_theorem"}),
+        # the property suite's cross-checks
+        ("factor", {"is_direct", "verify_main_theorem"}),
         ("central", {"class_stabilizer", "minimal_normal_subgroups"}),
     ],
 )
 def test_oracle_borrows_only_its_cross_checks(source, names):
+    assert _borrowed("oracle", source) == names
+
+
+def _borrowed(module: str, source: str) -> set:
+    """The names `module` imports from the package module `source`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module in (source, f"setdirect.{source}") for a in node.names}
+
+
+def test_only_the_property_suite_reads_the_other_routes():
+    # the search, the listing and the transversal use the group layer alone
     tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
-    got = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-           and node.module in (source, f"setdirect.{source}") for a in node.names}
-    assert got == names
+    borrowed = _borrowed("oracle", "factor") | _borrowed("oracle", "central")
+    suite = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "property_suite")
+    inside = {id(node) for node in ast.walk(suite)}
+    outside = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id in borrowed and id(node) not in inside}
+    assert borrowed and not outside
 
 
 def test_every_module_is_read():
