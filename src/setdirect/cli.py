@@ -208,7 +208,7 @@ def _emit_factorizations(G, facts, emit: str, before_report=lambda: None) -> Non
 def cmd_factorize(args) -> int:
     G = load_group(args.group)
     method = args.method
-    deadline = _Deadline(args.time_budget_secs)  # every method refuses a NaN or negative one
+    deadline = _Deadline(args.time_budget_secs)  # refuses a NaN or negative one, for any method
 
     if method == "oracle":
         result = enumerate_setdirect(
@@ -305,7 +305,7 @@ def cmd_suite(args) -> int:
     else:
         print("suite: give a group or --all-catalog", file=sys.stderr)
         return EXIT_ERROR
-    deadline = _Deadline(args.time_budget_secs)  # one for the whole run, groups or none
+    deadline = _Deadline(args.time_budget_secs)  # one for the whole run, even of no group
     failures = 0
     for G in groups:
         if not (left := deadline.left()):
