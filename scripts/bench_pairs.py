@@ -13,21 +13,25 @@ the PAIRS seeds seed0 .. seed0+PAIRS-1, `perfbench/run.py --trace 0` runs
 once from each tree for BENCHMARK.json's "run_seconds", one process per
 run: the parent first on odd seeds and the change first on even ones, so
 that a drift in the host's speed falls on both sides alike.  A run that is
-not "correct": true with 0 failed operations, a traced run that reports no
-TRACE_METRICS, or a run that outlasts RUN_TIMEOUT_S, stops the script.
+not "correct": true with 0 failed operations, or prints no "N passes;"
+count, a traced run that reports no TRACE_METRICS, or a run that outlasts
+RUN_TIMEOUT_S, stops the script.
 
 Prints one JSON object on stdout: the command, the protocol, the rows of
 every run per workload and side, and per workload a summary of each
 end-to-end metric named in this repository's BENCHMARK.json: the median
 and quartiles of each side, the pairs in which the change is better, and
-the change's relative difference of medians; its "traced" entry holds the
-traced run's seed and TRACE_METRICS.  Progress goes to stderr.
+the change's relative difference of medians; its "passes" entry holds each
+side's median pass count, as peak_rss_mb grows with the passes a run
+keeps, and its "traced" entry the traced run's seed and TRACE_METRICS.
+Progress goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -46,8 +50,8 @@ def benchmark_spec() -> dict:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run of perfbench from `tree`, as a row: correct, attempted,
-    failed, the metrics (end-to-end ones, or per-layer ones with trace 1)
-    and the seed."""
+    failed, the metrics (end-to-end ones, or per-layer ones with trace 1),
+    the untraced passes, read from run.py's "N passes;", and the seed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -56,11 +60,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 
         out = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         out = {}
-    if done.returncode != 0 or out.get("correct") is not True or out.get("failed") != 0:
+    passes = re.search(r"(\d+) passes;", done.stdout)
+    if (done.returncode != 0 or out.get("correct") is not True or out.get("failed") != 0
+            or passes is None):
         sys.exit(f"bench_pairs: {workload} seed {seed} in {tree} did not run clean "
                  f"(exit {done.returncode}):\n{done.stderr.strip()[-2000:]}")
     row = {"correct": True, "attempted": out["attempted"], "failed": 0}
     row.update({k: round(m["value"], 6) for k, m in out["metrics"].items()})
+    row["passes"] = int(passes[1])
     row["seed"] = seed
     return row
 
@@ -82,7 +89,9 @@ def quartiles(values) -> tuple:
 def summarize(rows: dict, metrics) -> dict:
     """The summary of one workload: `rows` maps each side to its runs, in
     seed order, and `metrics` lists (name, better) with better "lower" or
-    "higher".  A pair is the two runs of one seed."""
+    "higher".  A pair is the two runs of one seed.  Rows with pass counts
+    add each side's median count as "passes"; rows written before the
+    counts were recorded have none."""
     parent, change = rows["parent"], rows["change"]
     if [r["seed"] for r in parent] != [r["seed"] for r in change]:
         raise ValueError("unpaired runs: the sides' seeds differ")
@@ -100,6 +109,9 @@ def summarize(rows: dict, metrics) -> dict:
             "change_better_pairs": f"{wins}/{len(p)}",
             "rel": round((cm - pm) / pm, 4),
         }
+    if all("passes" in r for r in parent + change):
+        out["passes"] = {f"{side}_median": statistics.median(r["passes"] for r in rows[side])
+                         for side in SIDES}
     out["all_correct"] = all(r["correct"] and r["failed"] == 0 for r in parent + change)
     return out
 

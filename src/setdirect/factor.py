@@ -76,6 +76,8 @@ class DirectnessReport:
 
 
 def _check_normal_pair(G: GroupTable, X: Subset, Y: Subset) -> None:
+    if X.group is not G or Y.group is not G:
+        raise ForeignSubset(f"a factor belongs to a different group than {G.name}")
     if not X.mask or not Y.mask:
         raise EmptySet("factors must be nonempty")
     if not is_normal_subset(G, X):
@@ -90,13 +92,17 @@ def is_direct(G: GroupTable, X: Subset, Y: Subset) -> DirectnessReport:
     Each criterion stops at its answer:
     - multiplicity takes the products x*y one at a time, up to the first
       element hit twice;
-    - difference builds the smaller of XX^-1 and YY^-1, then translates the
-      other side by one element per class of it, or scans the other
-      difference set when that is cheaper (_differences_meet_trivially);
+    - difference grows the smaller of XX^-1 and YY^-1 one translate at a
+      time and tests each of its classes as it appears, up to the first
+      witness, or scans the other difference set once that is cheaper
+      (_differences_meet_trivially);
     - partition lays down the translates {Xy} up to the first overlap, as
       {xY} overlap iff they do (x1 y1 = x2 y2 forces y1 = y2 iff x1 = x2);
     - cardinality is False by pigeonhole when |X||Y| > |G|, and otherwise
       counts |XY| from its own product.
+
+    A factor of another table raises ForeignSubset, an empty one EmptySet
+    and one that is not a union of classes NotNormal.
     """
     _check_normal_pair(G, X, Y)
     return _directness(G, X, Y)[0]
@@ -118,25 +124,51 @@ def _unique_products(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
 def _differences_meet_trivially(G: GroupTable, xmem: tuple, ymem: tuple) -> bool:
     """Whether SS^-1 and LL^-1 meet only at 1, S the smaller side.
 
-    D = SS^-1 minus 1 is built in full; it is a normal set, as S is.  LL^-1
-    meets D iff dL meets L for some d in D, since l1 l2^-1 = d means
-    l1 = d l2.  Conjugating by g maps dL intersect L onto d^g L intersect L,
-    as L is normal, so one d per class of D decides: L is translated by the
-    minimal member of each class of D when D has fewer classes than L has
-    elements, and LL^-1 is scanned otherwise.
+    LL^-1 meets D = SS^-1 minus 1 iff dL meets L for some d in D, since
+    l1 l2^-1 = d means l1 = d l2.  D is a normal set, as S is, and
+    conjugating by g maps dL intersect L onto d^g L intersect L, as L is
+    normal, so one d per class of D decides.  D is grown one translate
+    sS^-1 at a time, and each class is tested, with |L| lookups, as soon as
+    its minimal member appears; the first witness returns False.  Once |L|
+    classes have passed, which cost as much as a scan of LL^-1, the rest of
+    D is built and LL^-1 is scanned against it.
     """
-    inv = G.inv
+    mult, inv = G.mult, G.inv
     small, large = sorted((xmem, ymem), key=len)
-    built = 0
-    for t in _left_translates(G, small, tuple(inv[b] for b in small)):
+    sinv = tuple(inv[b] for b in small)
+    lmask = mask_of(large)
+    leaders = conjugacy_classes(G).leaders & ~(1 << G.identity)
+    built, left = 0, len(large)
+    for i, s in enumerate(small):
+        row, t = mult[s], 0
+        for b in sinv:
+            t |= 1 << row[b]
+        new = t & leaders & ~built
         built |= t
+        while new and left:
+            low = new & -new
+            row = mult[low.bit_length() - 1]
+            for l in large:
+                if lmask >> row[l] & 1:
+                    return False
+            new ^= low
+            left -= 1
+        if not left:
+            break
+    else:
+        return True  # every class of D tested
+    for s in small[i + 1:]:
+        row = mult[s]
+        for b in sinv:
+            built |= 1 << row[b]
     built &= ~(1 << G.identity)
-    reps = built & conjugacy_classes(G).leaders
-    if reps.bit_count() < len(large):
-        lmask = mask_of(large)
-        return not any(t & lmask for t in _left_translates(G, tuple(bits(reps)), large))
-    scan = _left_translates(G, large, tuple(inv[b] for b in large))
-    return not any(t & built for t in scan)
+    linv = tuple(inv[b] for b in large)
+    for l in large:
+        row = mult[l]
+        for b in linv:
+            if built >> row[b] & 1:
+                return False
+    return True
 
 
 def _disjoint(translates) -> bool:

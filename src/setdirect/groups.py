@@ -6,9 +6,11 @@ them: the one result type of the constructions and of the oracle, kept here
 so that neither route imports the other's module.  The table, partitions,
 subsets and pairs never change after construction.  What a table derives
 from itself alone is a cached_property of it: a generating set, whether it
-is abelian, the classes, the centre, the label index, the memo of subgroup
-joins <H, g> keyed by a subgroup mask and an element, and the memo of
-central-product checks keyed by a pair of subgroup masks.  Each is computed
+is abelian, the classes (and, cached on their partition, the mask of class
+leaders and the mask of classes of more than one element), the centre, the
+label index, the memo of subgroup joins <H, g> keyed by a subgroup mask and
+an element, and the memo of central-product checks keyed by a pair of
+subgroup masks.  Each is computed
 on first use and gives the same result on every use, so every operation in
 this module is a pure function of its inputs; the two memos hold at most
 _MEMO_HELD entries each.  Every subgroup closure, the table's generating set
@@ -47,9 +49,9 @@ MAX_ORDER = 6000
 
 # Entries each per-table memo (GroupTable._joins, GroupTable._central_products)
 # stores; past it, values are computed and not kept (_remember).  Two passes
-# of a benchmark workload leave at most 374 joins and 2346 central-product
-# checks per table (Q8oQ8 in one command-line call: `info` checks every
-# pair of its 68 normal subgroups); uncapped, 3000 random sets of 1 to 9
+# of a benchmark workload leave at most 374 joins and 993 central-product
+# checks per table (Q8oQ8 in one command-line call: `info` checks the 993
+# pairs of its 68 normal subgroups with MN = G); uncapped, 3000 random sets of 1 to 9
 # elements of C2^8 leave 11 108 joins, and 20 000 verify_main_theorem calls
 # on such sets about 19 200 checks.
 _MEMO_HELD = 4096
@@ -59,7 +61,9 @@ def check_order(n: int, what: str = "order") -> None:
     """Raise OrderLimitExceeded if n is over MAX_ORDER.  Every factory calls
     this before it allocates anything that grows with n."""
     if n > MAX_ORDER:
-        raise OrderLimitExceeded(f"{what} {n} exceeds the order bound {MAX_ORDER}")
+        # str() refuses an int of over 4300 digits, such as 1559!
+        shown = n if n < 10**100 else "over 10^100"
+        raise OrderLimitExceeded(f"{what} {shown} exceeds the order bound {MAX_ORDER}")
 
 
 def check_element(G: "GroupTable", x: int) -> int:
@@ -345,7 +349,10 @@ _set_group, _set_x, _set_y, _set_certified = (
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Conjugacy classes of a group, ordered by minimal member."""
+    """Conjugacy classes of a group, ordered by minimal member, with two
+    masks computed on first use and kept: `leaders`, the minimal member of
+    each class, and `noncentral`, the union of the classes of more than
+    one element."""
 
     group: GroupTable
     classes: tuple
@@ -365,6 +372,14 @@ class ClassPartition:
         """The mask of each class's minimal member: a union of classes D
         has one element per class in D & leaders."""
         return mask_of((c.mask & -c.mask).bit_length() - 1 for c in self.classes)
+
+    @cached_property
+    def noncentral(self) -> int:
+        """The union of the classes of more than one element: the elements
+        outside the centre.  A union of classes contains every one-element
+        class it meets, so only these need a look; on an abelian group the
+        mask is 0."""
+        return sum(c.mask for c in self.classes if len(c) > 1)  # disjoint masks
 
 
 # -- raw mask helpers (hot paths work on ints, not Subset objects) ----------
@@ -761,13 +776,19 @@ def commutator_set(G: GroupTable, A: Subset, B: Subset) -> Subset:
 
 
 def is_normal_subset(G: GroupTable, S: Subset) -> bool:
-    """True iff S is a union of conjugacy classes (empty set included)."""
+    """True iff S is a union of conjugacy classes (empty set included).
+
+    Only the classes S meets outside the centre are walked, each once, up
+    to the first one S does not contain: a central element is a class of
+    its own.  On an abelian group there is no walk at all.
+    """
     part = conjugacy_classes(G)
     mask = S.mask
-    rest = mask
+    rest = mask & part.noncentral
+    classes, class_of = part.classes, part.class_of
     while rest:
         low = rest & -rest
-        cmask = part.class_mask(part.class_of[low.bit_length() - 1])
+        cmask = classes[class_of[low.bit_length() - 1]].mask
         if cmask & ~mask:
             return False
         rest &= ~cmask

@@ -54,10 +54,12 @@ def test_a_committed_summary_is_reproduced_from_its_rows(name):
         assert bench_pairs.summarize(rows, metrics) == bench["summary"][workload], workload
 
 
-def _fake_runs(monkeypatch, returncode=0, traced=None):
+def _fake_runs(monkeypatch, returncode=0, traced=None, notes=None):
     """Replace subprocess.run with a fake perfbench/run.py that records each
     call: a traced run reports `traced` (the tracing shares by default), an
-    untraced one every end-to-end metric, worth 1.0 on the parent's tree."""
+    untraced one every end-to-end metric, worth 1.0 on the parent's tree.
+    Each prints run.py's notes line, with 3 passes on the parent's tree and
+    4 on any other, or `notes`."""
     calls = []
 
     def fake(cmd, cwd, **kwargs):
@@ -70,7 +72,10 @@ def _fake_runs(monkeypatch, returncode=0, traced=None):
             metrics = {m["name"]: value for m in bench_pairs.benchmark_spec()["end_to_end"]}
         out = {"correct": returncode == 0, "attempted": 7, "failed": 0,
                "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
-        return subprocess.CompletedProcess(cmd, returncode, f"perfbench: notes\n{json.dumps(out)}\n",
+        passes = 3 if Path(cwd).name == "parent" else 4
+        line = notes or (f"perfbench: w seed 1: 7 operations per pass, {passes} passes; "
+                         f"{passes} untraced and 1 traced passes; failed_frac 0 (0 of 28)")
+        return subprocess.CompletedProcess(cmd, returncode, f"{line}\n{json.dumps(out)}\n",
                                            "perfbench: traced spans do not account for it")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
@@ -114,4 +119,24 @@ def test_main_runs_the_change_traced_before_the_pairs(monkeypatch, tmp_path, cap
     assert summary["traced"] == {"seed": 4, "trace.top_span_frac": 0.96,
                                  "trace.overhead_frac": 0.02}
     assert summary["solve_s"]["change_better_pairs"] == f"{bench_pairs.PAIRS}/{bench_pairs.PAIRS}"
+    assert summary["passes"] == {"parent_median": 3, "change_median": 4}
+    for side, passes in (("parent", 3), ("change", 4)):
+        assert [r["passes"] for r in out["workloads"]["roundtrip"][side]] == [passes] * 10
     assert [r["seed"] for r in out["workloads"]["roundtrip"]["change"]] == list(range(4, 14))
+
+
+def test_a_run_without_a_pass_count_stops_the_script(monkeypatch, tmp_path):
+    _fake_runs(monkeypatch, notes="perfbench: notes")
+    with pytest.raises(SystemExit, match="roundtrip seed 5"):
+        bench_pairs.run_once(tmp_path, "roundtrip", 5, 25)
+
+
+def test_pass_counts_are_summarized_beside_the_metrics():
+    rows = {"parent": _rows([1.0, 2.0, 3.0]), "change": _rows([1.0, 2.0, 3.0])}
+    for side, counts in (("parent", [64, 62, 65]), ("change", [80, 81, 79])):
+        for r, n in zip(rows[side], counts):
+            r["passes"] = n
+    got = bench_pairs.summarize(rows, [("t", "lower")])
+    assert got["passes"] == {"parent_median": 64, "change_median": 80}
+    del rows["change"][0]["passes"]  # rows from before the counts: no entry
+    assert "passes" not in bench_pairs.summarize(rows, [("t", "lower")])

@@ -41,7 +41,7 @@ from setdirect.groups import (
     set_product,
 )
 
-from helpers import abelian_subgroups, is_subgroup_naive
+from helpers import abelian_subgroups, fresh_copy, is_subgroup_naive
 
 
 class TestIsCentralProduct:
@@ -205,6 +205,24 @@ class TestEnumerateDecompositions:
             full = g.full_mask
             with_g = {d.n.mask for d in got if d.m.mask == full}
             assert {z.mask for z in central_subgroups(g)} <= with_g
+
+    @pytest.mark.parametrize("name", ["Q8oQ8", "D8oC4", "S4"])
+    def test_only_pairs_with_mn_g_are_kept(self, name):
+        # the product-size test runs before the memo, so the memo holds just
+        # the pairs it passes, each with the outcome a full check gives
+        g = fresh_copy(catalog_group(name))
+        got = enumerate_central_decompositions(g)
+        subs = normal_subgroups(g)
+        covering = [(m, n) for i, m in enumerate(subs) for n in subs[i:]
+                    if len(m) * len(n) == g.order * len(m & n)]
+        memo = g._central_products
+        assert len(memo) == len(covering)
+        assert all(len(m) * len(n) == g.order * len(m & n)
+                   for m, n in ((Subset(g, a), Subset(g, b)) for a, b in memo))
+        want = [c.decomposition for c in (_certify_central_product(g, *sorted(
+            (m, n), key=lambda s: (len(s), s.mask), reverse=True)) for m, n in covering) if c]
+        key = lambda d: (len(d.m), d.m.mask, d.n.mask)
+        assert got == sorted(want, key=key)
 
     def test_order_bound(self):
         with pytest.raises(OrderLimitExceeded):

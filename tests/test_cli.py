@@ -87,7 +87,7 @@ class TestInfo:
         assert code == 2
         assert "neither a catalog name" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["C12000", "S9", "C100xC100"])
+    @pytest.mark.parametrize("name", ["C12000", "S9", "C100xC100", "S1559", "A6000"])
     def test_over_the_order_bound_exit_2(self, capsys, name):
         code, _, err = run(capsys, "info", name)
         assert code == 2
@@ -609,6 +609,10 @@ def argv_lists(draw):
 
 
 def _exit_code(argv) -> int:
+    return _exit_and_stdout(argv)[0]
+
+
+def _exit_and_stdout(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -616,7 +620,50 @@ def _exit_code(argv) -> int:
         except SystemExit as exc:  # argparse: usage errors, --help, --version
             code = exc.code
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue()
+
+
+METHODS = ["oracle", "system", "transversal", "cyclic", "prime-power"]
+# groups that load, so that most argvs reach the budget rule, and option
+# values argparse accepts in place of OPTIONS' stray ones
+LOADABLE = st.sampled_from(["C1", "C4", "C12", "C36", "Q8", "S3", "A5", "Q8oC4", "D8oC4"])
+PARSED = {"--element": st.integers(0, 40).map(str), "--seed": st.integers(0, 9).map(str),
+          "--samples": st.integers(0, 50).map(str), "--max-order": st.integers(0, 8).map(str),
+          "--time-budget-secs": st.sampled_from(["0", "0.1"])}
+
+
+@st.composite
+def bad_budget_argvs(draw):
+    """A factorize argv with any method, or a suite argv for a group or for
+    no group at all, with options that command reads and a last budget of
+    nan, -1 or -inf."""
+    command = draw(st.sampled_from(["factorize", "suite"]))
+    argv = [command]
+    if command == "suite" and draw(st.booleans()):
+        argv += ["--all-catalog", "--max-order", "0"]
+    else:
+        argv.append(draw(LOADABLE | GROUP_NAMES))
+    if command == "factorize":
+        argv += ["--method", draw(st.sampled_from(METHODS))]
+    own = [o for o in COMMAND_OPTIONS[command] if o not in ("--method", "--all-catalog")]
+    for opt in draw(st.lists(st.sampled_from(own), max_size=4)):
+        argv.append(opt)
+        if OPTIONS[opt] is not None:
+            argv.append(draw(PARSED.get(opt, OPTIONS[opt])))
+    if "--all-catalog" in argv:  # a later --max-order must not select groups
+        argv += ["--max-order", "0"]
+    budget = draw(st.sampled_from(["nan", "-1", "-inf"]))
+    if draw(st.booleans()):  # argparse reads a lone "-inf" as an option
+        return argv + [f"--time-budget-secs={budget}"]
+    return argv + ["--time-budget-secs", budget]
+
+
+@given(argv=bad_budget_argvs())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_fuzz_bad_budget_exits_2(argv):
+    code, out = _exit_and_stdout(argv)
+    if not any(map(_asks_help_or_version, argv)):
+        assert code == 2 and out == "", argv
 
 
 @given(argv=argv_lists())

@@ -676,6 +676,26 @@ class TestNormalSubsets:
         g = symmetric(3)
         assert is_normal_subset(g, g.empty_subset())
 
+    @pytest.mark.parametrize("name", [n for n in catalog_names()
+                                      if catalog_group(n).order <= 32])
+    def test_matches_the_definition(self, name):
+        # random subsets, random unions of classes, and such a union with one
+        # element added or removed: normal iff closed under every conjugation
+        g = catalog_group(name)
+        part = conjugacy_classes(g)
+        mult, inv, n = g.mult, g.inv, g.order
+        assert part.noncentral == g.full_mask & ~center(g).mask  # the classes walked
+        rng = random.Random(f"normal {name}")
+        seen = set()
+        for _ in range(60):
+            union = mask_of(x for c in part.classes if rng.random() < 0.5 for x in bits(c.mask))
+            for mask in (rng.getrandbits(n), union, union ^ 1 << rng.randrange(n)):
+                want = all(mask >> mult[mult[inv[h]][x]][h] & 1
+                           for x in bits(mask) for h in range(n))
+                assert is_normal_subset(g, Subset(g, mask)) == want, mask
+                seen.add(want)
+        assert seen == ({True} if g.is_abelian else {True, False})
+
 
 class TestSetProduct:
     def test_identity_side(self):
@@ -865,6 +885,12 @@ class TestOrderLimit:
             symmetric(9)
         with pytest.raises(OrderLimitExceeded, match="order 181440 "):
             alternating(9)
+
+    @pytest.mark.parametrize("make", [symmetric, alternating])
+    def test_an_order_too_long_to_print_is_refused(self, make):
+        # 1559! has over 4300 digits, more than str() converts
+        with pytest.raises(OrderLimitExceeded, match=r"order over 10\^100 exceeds"):
+            make(1559)
 
 
 class TestCatalog:

@@ -32,6 +32,7 @@ from setdirect.central import (
 from setdirect.errors import (
     ContainmentViolated,
     EmptySet,
+    ForeignSubset,
     GroupError,
     HypothesisViolated,
     IndexMismatch,
@@ -111,6 +112,26 @@ class TestIsDirect:
         g = cyclic(3)
         with pytest.raises(EmptySet):
             is_direct(g, g.empty_subset(), g.full_subset())
+
+
+class TestForeignFactors:
+    """A factor of another table is refused at the boundary, before any
+    lookup: a subset of C8 given with G = C4 once ended in an IndexError,
+    and one of a second C4 table was judged as if it were G's."""
+
+    @pytest.mark.parametrize("check", [is_direct, verify_main_theorem, is_central_product])
+    @pytest.mark.parametrize("table, members", [(lambda: cyclic(8), [0, 4]),
+                                                (lambda: cyclic(4), [0, 2])],
+                             ids=["larger table", "twin table"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_foreign_factor_is_refused(self, check, table, members, side):
+        g = cyclic(4)
+        other = table()
+        assert other is not g
+        pair = [g.full_subset(), g.full_subset()]
+        pair[side] = other.subset(members)
+        with pytest.raises(ForeignSubset, match="different group than C4"):
+            check(g, *pair)
 
 
 class TestVerifyMainTheorem:
@@ -263,27 +284,40 @@ class TestDirectnessAgainstReference:
             assert (False, True) in seen
 
 
+class _Row:
+    """A table row that records each lookup as (g, column), g its element."""
+
+    __slots__ = ("g", "row", "reads")
+
+    def __init__(self, g, row, reads):
+        self.g, self.row, self.reads = g, row, reads
+
+    def __getitem__(self, c):
+        self.reads.append((self.g, c))
+        return self.row[c]
+
+
 class TestDifferenceCriterion:
-    """_differences_meet_trivially against XX^-1 intersect YY^-1 = {1},
-    and the branch it takes.  Its first _left_translates call builds
-    D = SS^-1 minus 1 for the smaller side S; the second translates the
-    larger side L by one element per class of D when D has fewer classes
-    than L has elements, and otherwise scans LL^-1 (the translates of L)."""
+    """_differences_meet_trivially against XX^-1 intersect YY^-1 = {1}, and
+    its walk, read from the lookups it makes in a table whose rows record
+    them.  It grows D = SS^-1 minus 1, S the smaller side, one translate at
+    a time (|S|^2 lookups in all), tests each class of D with |L| lookups,
+    L the larger side, and once |L| classes have passed builds the rest of
+    D and scans LL^-1 (|L|^2 lookups); a False answer stops at its
+    witness."""
 
     @staticmethod
-    def _recording(monkeypatch):
-        calls = []
-        wrapped = factor._left_translates
-
-        def recorded(G, xmem, ymem):
-            calls.append((xmem, ymem))
-            return wrapped(G, xmem, ymem)
-
-        monkeypatch.setattr(factor, "_left_translates", recorded)
-        return calls
+    def _recording(G):
+        """A copy of G whose rows record their lookups, and the record;
+        the classes are computed before the rows are swapped."""
+        G = fresh_copy(G)
+        conjugacy_classes(G)
+        reads = []
+        G.mult = tuple(_Row(g, row, reads) for g, row in enumerate(G.mult))
+        return G, reads
 
     @pytest.mark.parametrize("name", ["S3", "D8", "Q8", "D10", "A4", "Q8oC4"])
-    def test_matches_the_definition(self, name, monkeypatch):
+    def test_matches_the_definition(self, name):
         G = catalog_group(name)
         part = conjugacy_classes(G)
         mult, inv, one = G.mult, G.inv, G.identity
@@ -296,32 +330,50 @@ class TestDifferenceCriterion:
                   for r in range(1 - first, k - first + 1)
                   for picked in itertools.combinations(range(first, k), r)]
         diffs = [{mult[a][inv[b]] for a in u for b in u} for u in unions]
-        calls = self._recording(monkeypatch)
-        branches = set()
+        counted, reads = self._recording(G)
+        seen = set()
         for i, xs in enumerate(unions):
             for j in range(i if first else 0, len(unions)):
                 ys = unions[j]
-                calls.clear()
-                got = factor._differences_meet_trivially(G, xs, ys)
+                reads.clear()
+                got = factor._differences_meet_trivially(counted, xs, ys)
                 assert got == (diffs[i] & diffs[j] == {one}), (xs, ys)
                 small, large = sorted((i, j), key=lambda t: len(unions[t]))
-                d_classes = {part.class_of[d] for d in diffs[small] - {one}}
-                scanned = calls[1][0] == unions[large]
-                assert scanned == (len(d_classes) >= len(unions[large])), (xs, ys)
-                if not scanned:
-                    assert sorted(part.class_of[d] for d in calls[1][0]) == sorted(d_classes)
-                branches.add(scanned)
-        assert branches == ({False, True} if name == "Q8oC4" else {False})
+                d, lset = diffs[small] - {one}, set(unions[large])
+                classes = len({part.class_of[x] for x in d})
+                ns, nl = len(unions[small]), len(unions[large])
+                scanned = classes >= nl
+                walk = ns * ns + nl * min(classes, nl) + nl * nl * scanned
+                if got:  # every translate, every class tested, every scan
+                    assert len(reads) == walk, (xs, ys)
+                else:  # the last lookup is a witness: d l in L, or l1 l2^-1 in D
+                    assert len(reads) <= walk, (xs, ys)
+                    g, c = reads[-1]
+                    p = mult[g][c]
+                    assert (g in d and c in lset and p in lset
+                            or g in lset and inv[c] in lset and p in d), (xs, ys)
+                seen.add((got, scanned))
+        assert {scanned for _, scanned in seen} == (
+            {False, True} if name == "Q8oC4" else {False})
+        assert {got for got, _ in seen} == {False, True}
 
-    def test_group_times_identity_scans_nothing(self, monkeypatch):
-        G = symmetric(5)
-        calls = self._recording(monkeypatch)
+    def test_group_times_identity_scans_nothing(self):
+        G, reads = self._recording(symmetric(5))
         full, one = G.full_subset().members(), (G.identity,)
         assert factor._differences_meet_trivially(G, full, one)
         assert factor._differences_meet_trivially(G, one, full)
-        # each call builds D = {1}{1}^-1 minus 1, which is empty, and then
-        # translates G by no element
-        assert [len(x) * len(y) for x, y in calls] == [1, 0, 1, 0]
+        # each call builds D = {1}{1}^-1 minus 1 with one lookup; D is
+        # empty, so no class is tested and G is not scanned
+        assert reads == [(G.identity, G.identity)] * 2
+
+    def test_a_witness_in_the_first_translate_stops_the_walk(self):
+        # X = Y = C32: the first translate 1 G^-1 is all of D, and the first
+        # class tested, {d}, has dG meet G at once; the parent's walk built
+        # all of D and translated G by every d, |G|^2 lookups and more
+        G, reads = self._recording(cyclic(32))
+        full = G.full_subset().members()
+        assert not factor._differences_meet_trivially(G, full, full)
+        assert len(reads) <= 2 * G.order
 
 
 class TestKernel:
