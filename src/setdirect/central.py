@@ -108,10 +108,10 @@ def _central_product(G: GroupTable, M: Subset, N: Subset) -> CentralProductCheck
     then share one decomposition and its orbits.  Past the cap a
     decomposition is computed again, with the same fields, and so are its
     orbits: enumerate_central_decompositions on C2xC2xC4xC4 checks 8 486
-    pairs that cover G, all central products, and fills the cap, after which a verify_main_theorem plus
-    derive_system of one of its factorizations takes about 0.24 ms where
-    an uncapped memo took 0.12 ms, and the process peaks 6.5 MB lower
-    (2-vCPU shared host, Python 3.11).
+    pairs that cover G, all central products, and fills the cap, after
+    which a verify_main_theorem plus derive_system of one of its
+    factorizations takes about 0.24 ms where an uncapped memo took 0.12 ms,
+    and the process peaks 6.5 MB lower (2-vCPU shared host, Python 3.11).
     """
     memo = G._central_products
     key = (M.mask, N.mask)
@@ -204,10 +204,10 @@ def enumerate_central_decompositions(G: GroupTable):
     has MN != G and is passed over before _central_product, so the memo
     keeps only pairs that cover G: 993 of Q8oQ8's 2 346.  An abelian group
     can still fill the memo's cap, as every pair that covers it is a
-    central product (C2xC2xC4xC4: 8 486 of them).  A group of order over ENUMERATION_BOUND,
-    or with more than NORMAL_SUBGROUP_BOUND normal subgroups, raises
-    OrderLimitExceeded; the latter is found before the subgroups are all
-    listed.
+    central product (C2xC2xC4xC4: 8 486 of them).  A group of order over
+    ENUMERATION_BOUND, or with more than NORMAL_SUBGROUP_BOUND normal
+    subgroups, raises OrderLimitExceeded; the latter is found before the
+    subgroups are all listed.
     """
     if G.order > ENUMERATION_BOUND:
         raise OrderLimitExceeded(

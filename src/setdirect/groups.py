@@ -10,11 +10,11 @@ is abelian, the classes (and, cached on their partition, the mask of class
 leaders and the mask of classes of more than one element), the centre, the
 label index, the memo of subgroup joins <H, g> keyed by a subgroup mask and
 an element, and the memo of central-product checks keyed by a pair of
-subgroup masks.  Each is computed
-on first use and gives the same result on every use, so every operation in
-this module is a pure function of its inputs; the two memos hold at most
-_MEMO_HELD entries each.  Every subgroup closure, the table's generating set
-included, is grown by one greedy walk, _generators.
+subgroup masks.  Each is computed on first use and gives the same result on
+every use, so every operation in this module is a pure function of its
+inputs; the two memos hold at most _MEMO_HELD entries each.  Every
+subgroup closure, the table's generating set included, is grown by one
+greedy walk, _generators.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ MAX_ORDER = 6000
 # stores; past it, values are computed and not kept (_remember).  Two passes
 # of a benchmark workload leave at most 374 joins and 993 central-product
 # checks per table (Q8oQ8 in one command-line call: `info` checks the 993
-# pairs of its 68 normal subgroups with MN = G); uncapped, 3000 random sets of 1 to 9
-# elements of C2^8 leave 11 108 joins, and 20 000 verify_main_theorem calls
-# on such sets about 19 200 checks.
+# pairs of its 68 normal subgroups with MN = G); uncapped, 3000 random sets
+# of 1 to 9 elements of C2^8 leave 11 108 joins, and 20 000
+# verify_main_theorem calls on such sets about 19 200 checks.
 _MEMO_HELD = 4096
 
 
@@ -780,15 +780,17 @@ def is_normal_subset(G: GroupTable, S: Subset) -> bool:
 
     Only the classes S meets outside the centre are walked, each once, up
     to the first one S does not contain: a central element is a class of
-    its own.  On an abelian group there is no walk at all.
+    its own.  On an abelian group there is no walk at all.  A subset of
+    another table raises ForeignSubset.
     """
+    if S.group is not G:
+        raise ForeignSubset("subset belongs to a different group")
     part = conjugacy_classes(G)
     mask = S.mask
     rest = mask & part.noncentral
-    classes, class_of = part.classes, part.class_of
     while rest:
         low = rest & -rest
-        cmask = classes[class_of[low.bit_length() - 1]].mask
+        cmask = part.class_mask(part.class_of[low.bit_length() - 1])
         if cmask & ~mask:
             return False
         rest &= ~cmask

@@ -31,6 +31,7 @@ from setdirect.errors import (
     ContainmentViolated,
     ElementOutOfRange,
     EmptyGeneratingSet,
+    ForeignSubset,
     GroupError,
     NotAGroup,
     NotNormalSubgroup,
@@ -675,6 +676,13 @@ class TestNormalSubsets:
     def test_empty_is_normal(self):
         g = symmetric(3)
         assert is_normal_subset(g, g.empty_subset())
+
+    @pytest.mark.parametrize("other", [cyclic(8).subset([0, 4]), cyclic(4).subset([0, 2])],
+                             ids=["larger table", "twin table"])
+    def test_a_foreign_subset_is_refused(self, other):
+        # on an abelian group no class is walked, so only this check sees it
+        with pytest.raises(ForeignSubset):
+            is_normal_subset(cyclic(4), other)
 
     @pytest.mark.parametrize("name", [n for n in catalog_names()
                                       if catalog_group(n).order <= 32])

@@ -366,6 +366,17 @@ class TestDifferenceCriterion:
         # empty, so no class is tested and G is not scanned
         assert reads == [(G.identity, G.identity)] * 2
 
+    def test_the_scan_builds_the_translates_left(self):
+        # S = {0, 1, 3} and L = {0, 4, 8} in C20: D = {±1, ±2, ±3} misses
+        # LL^-1 = {0, ±4, ±8}.  The first two translates bring |L| classes
+        # of D, so the third is built before the scan: 9 lookups for D, 9
+        # for the classes tested, 9 for the scan.  Dropping that translate
+        # would change this count and no answer: each of its elements has
+        # its inverse in another translate, and LL^-1 is symmetric.
+        G, reads = self._recording(cyclic(20))
+        assert factor._differences_meet_trivially(G, (0, 1, 3), (0, 4, 8))
+        assert len(reads) == 27
+
     def test_a_witness_in_the_first_translate_stops_the_walk(self):
         # X = Y = C32: the first translate 1 G^-1 is all of D, and the first
         # class tested, {d}, has dG meet G at once; the parent's walk built
