@@ -213,16 +213,14 @@ class TestEnumerateDecompositions:
         g = fresh_copy(catalog_group(name))
         got = enumerate_central_decompositions(g)
         subs = normal_subgroups(g)
-        covering = [(m, n) for i, m in enumerate(subs) for n in subs[i:]
+        # each unordered pair with MN = G, the larger factor first
+        covering = [sorted((m, n), key=lambda s: (len(s), s.mask), reverse=True)
+                    for i, m in enumerate(subs) for n in subs[i:]
                     if len(m) * len(n) == g.order * len(m & n)]
-        memo = g._central_products
-        assert len(memo) == len(covering)
-        assert all(len(m) * len(n) == g.order * len(m & n)
-                   for m, n in ((Subset(g, a), Subset(g, b)) for a, b in memo))
-        want = [c.decomposition for c in (_certify_central_product(g, *sorted(
-            (m, n), key=lambda s: (len(s), s.mask), reverse=True)) for m, n in covering) if c]
-        key = lambda d: (len(d.m), d.m.mask, d.n.mask)
-        assert got == sorted(want, key=key)
+        assert set(g._central_products) == {(m.mask, n.mask) for m, n in covering}
+        want = [c.decomposition for c in (_certify_central_product(g, m, n) for m, n in covering)
+                if c]
+        assert got == sorted(want, key=lambda d: (len(d.m), d.m.mask, d.n.mask))
 
     def test_order_bound(self):
         with pytest.raises(OrderLimitExceeded):
