@@ -21,6 +21,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     Subset,
+    _check_subsets,
     _closure_mask,
     _generators,
     _is_subgroup_mask,
@@ -238,11 +239,25 @@ class ZOrbit:
 @dataclass(frozen=True)
 class ZActionData:
     """Orbit partition of the classes inside a normal subset under a central
-    subgroup acting by multiplication."""
+    subgroup acting by multiplication.  The orbits' stabilizers, their masks
+    and each orbit's first class are tuples computed on first use and kept,
+    for the systems built and checked over these orbits."""
 
     ambient: Subset
     acting: Subset
     orbits: tuple
+
+    @cached_property
+    def stabilizers(self) -> tuple:
+        return tuple(o.stabilizer for o in self.orbits)
+
+    @cached_property
+    def stabilizer_masks(self) -> tuple:
+        return tuple(s.mask for s in self.stabilizers)
+
+    @cached_property
+    def first_classes(self) -> tuple:
+        return tuple(o.classes[0] for o in self.orbits)
 
     def is_semiregular(self) -> bool:
         one = 1 << self.acting.group.identity
@@ -256,6 +271,7 @@ class ZActionData:
 
 
 def _require_central_subgroup(G: GroupTable, Z: Subset) -> None:
+    _check_subsets(G, Z)
     if not _is_subgroup_mask(G, Z.mask):
         raise NotCentral("Z must be a subgroup")
     if Z.mask & ~center(G).mask:
@@ -341,6 +357,7 @@ def z_bracket(G: GroupTable, K: Subset, Z: Subset):
     the set of elements commuting with K's greedy generators, n |gens K|
     lookups, and K * C_G(K) = G is read from the product formula.
     """
+    _check_subsets(G, K)
     _require_central_subgroup(G, Z)
     if not _is_subgroup_mask(G, K.mask):
         raise NotSubgroup("bracket set needs a subgroup")

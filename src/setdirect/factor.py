@@ -48,6 +48,7 @@ from .groups import (
     SetDirectFactorization,
     Subset,
     SubgroupView,
+    _check_subsets,
     _generators,
     _image,
     _is_subgroup_mask,
@@ -255,8 +256,9 @@ def _slices(
     if action is not None:
         from_x = part_mask.bit_count() < zm.bit_count()
         zmem = () if from_x else Z.members()
-        for orbit in action.orbits:
-            cmask = part.class_mask(orbit.classes[0])
+        classes = part.classes
+        for c in action.first_classes:
+            cmask = classes[c].mask
             m = (cmask & -cmask).bit_length() - 1
             if from_x:
                 smask = _image(G.mult[inv[m]], part_mask) & zm
@@ -356,8 +358,7 @@ def kernel(Zgrp: GroupTable, S: Subset) -> Subset:
     """K(S) = {h : hS = S} inside an abelian group."""
     if not Zgrp.is_abelian:
         raise NotAbelian("kernels are defined over abelian groups here")
-    if S.group is not Zgrp:
-        raise ForeignSubset("subset belongs to a different group")
+    _check_subsets(Zgrp, S)
     if not S.mask:
         raise EmptySet("kernel of the empty set")
     smask = S.mask
@@ -409,13 +410,19 @@ class SystemReport:
 def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
     """Check the defining conditions for every (i, j) plus the corollaries.
 
-    Z = A_i x B_j is tested once per distinct pair of masks and reported at
-    every (i, j) where it fails; the separation test |SH| = |S||H| runs once
-    per distinct (set, subgroup) pair.  M_i <= K(A_i) is tested on a
+    The families are indexed by Z-orbits but repeat their masks, so past
+    the table and containment check of each set, every test runs once per
+    distinct mask or distinct pair of masks: the subgroup test of each M_i
+    and N_j, Z = A_i x B_j, M_i <= K(A_i), the sizes (bit counts of the
+    masks) and their arithmetic, the separation test |SH| = |S||H| and the
+    intersections of M_i and N_j.  The separation product is skipped when
+    H = {1}, as |S{1}| = |S| exactly.  M_i <= K(A_i) is tested on a
     generating set of M_i, as K(A_i) is a subgroup: a translate per
-    generator, and none for a trivial M_i.  A system whose definitions pass
-    but whose arithmetic corollaries fail is an internal inconsistency and
-    raises.
+    generator, and none for a trivial M_i.  Only a test that fails is read
+    back at every index, so product_failures lists each failing (i, j) and
+    the kernel failures each failing i, repeats included, in index order.
+    A system whose definitions pass but whose arithmetic corollaries fail
+    is an internal inconsistency and raises.
     """
     G, zmask = sys.z.group, sys.z.mask
     if not _is_subgroup_mask(G, zmask):
@@ -424,6 +431,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         raise NotAbelian("Z must be a whole abelian group or a central subgroup")
     if len(sys.m_subgroups) != len(sys.a_sets) or len(sys.n_subgroups) != len(sys.b_sets):
         raise IndexMismatch("index families have different lengths")
+    masks = []  # per family, its masks by index and its distinct masks
     for name, family in zip(
         ("M_i", "N_j", "A_i", "B_j"),
         (sys.m_subgroups, sys.n_subgroups, sys.a_sets, sys.b_sets),
@@ -433,66 +441,57 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
                 raise ForeignSubset(f"{name} does not live in Z's group")
             if s.mask & ~zmask:
                 raise ContainmentViolated(f"{name} does not lie inside Z")
+        by_index = [s.mask for s in family]
+        masks.append((by_index, set(by_index)))
+    (m_masks, m_set), (n_masks, n_set), (a_masks, a_set), (b_masks, b_set) = masks
     gens = {}  # subgroup mask -> its greedy generators
-    for name, family in (("M_i", sys.m_subgroups), ("N_j", sys.n_subgroups)):
-        for mask in {s.mask for s in family} - gens.keys():
+    for name, distinct in (("M_i", m_set), ("N_j", n_set)):
+        for mask in distinct - gens.keys():
             gens[mask], closure = _generators(G, mask)
             if closure != mask:
                 raise NotSubgroup(f"{name} is not a subgroup")
 
-    def kernel_failures(subgroups, sets):
-        return tuple(
-            i
-            for i, (h, s) in enumerate(zip(subgroups, sets))
-            if not s.mask or any(_image(G.mult[g], s.mask) != s.mask for g in gens[h.mask])
-        )
+    def kernel_failures(h_masks, s_masks):
+        pairs = list(zip(h_masks, s_masks))
+        ok = {(h, s): bool(s) and all(_image(G.mult[g], s) == s for g in gens[h])
+              for h, s in set(pairs)}
+        if all(ok.values()):
+            return ()
+        return tuple(i for i, pair in enumerate(pairs) if not ok[pair])
 
-    nz = len(sys.z)
-    a_masks = [a.mask for a in sys.a_sets]
-    b_masks = [b.mask for b in sys.b_sets]
-    direct = {(a, b): _factors_directly(G, a, b, zmask)
-              for a in set(a_masks) for b in set(b_masks)}
-    product_failures = [
+    direct = {(a, b): _factors_directly(G, a, b, zmask) for a in a_set for b in b_set}
+    product_failures = () if all(direct.values()) else tuple(
         (i, j)
         for i, a in enumerate(a_masks)
         for j, b in enumerate(b_masks)
         if not direct[a, b]
-    ]
-    kernel_failures_a = kernel_failures(sys.m_subgroups, sys.a_sets)
-    kernel_failures_b = kernel_failures(sys.n_subgroups, sys.b_sets)
+    )
+    kernel_failures_a = kernel_failures(m_masks, a_masks)
+    kernel_failures_b = kernel_failures(n_masks, b_masks)
     valid = not product_failures and not kernel_failures_a and not kernel_failures_b
 
-    a_sizes = tuple(len(a) for a in sys.a_sets)
-    b_sizes = tuple(len(b) for b in sys.b_sets)
-    arithmetic_ok = (
-        all(sa * sb == nz for sa in a_sizes for sb in b_sizes)
-        and len(set(a_sizes)) <= 1
-        and len(set(b_sizes)) <= 1
-    )
+    size = int.bit_count
+    a_sizes, b_sizes = tuple(map(size, a_masks)), tuple(map(size, b_masks))
+    sa, sb = set(a_sizes), set(b_sizes)
+    nz = size(zmask)
+    arithmetic_ok = len(sa) <= 1 and len(sb) <= 1 and all(x * y == nz for x in sa for y in sb)
     if a_sizes:
-        m_lcm = lcm(1, *(len(m) for m in sys.m_subgroups))
-        arithmetic_ok = arithmetic_ok and a_sizes[0] % m_lcm == 0
+        arithmetic_ok = arithmetic_ok and a_sizes[0] % lcm(1, *map(size, m_set)) == 0
     if b_sizes:
-        n_lcm = lcm(1, *(len(n) for n in sys.n_subgroups))
-        arithmetic_ok = arithmetic_ok and b_sizes[0] % n_lcm == 0
+        arithmetic_ok = arithmetic_ok and b_sizes[0] % lcm(1, *map(size, n_set)) == 0
 
-    # the cosets aH, a in A, are distinct iff |AH| = |A||H|
+    # the cosets sH, s in S, are distinct iff |SH| = |S||H|; H = {1} passes
+    one = 1 << G.identity
     separation_ok = all(
         _product_mask(G, s, h).bit_count() == s.bit_count() * h.bit_count()
         for s, h in {
-            (s.mask, h.mask)
-            for sets, subgroups in ((sys.a_sets, sys.n_subgroups), (sys.b_sets, sys.m_subgroups))
+            (s, h)
+            for sets, subgroups in ((a_set, n_set), (b_set, m_set))
+            for h in subgroups - {one}
             for s in sets
-            for h in subgroups
         }
     )
-
-    one = 1 << G.identity
-    intersections_trivial = all(
-        (mi.mask & nj.mask) == one
-        for mi in sys.m_subgroups
-        for nj in sys.n_subgroups
-    )
+    intersections_trivial = all(mi & nj == one for mi in m_set for nj in n_set)
 
     if valid:
         internal_check(
@@ -501,7 +500,7 @@ def check_factorization_system(sys: FactorizationSystem) -> SystemReport:
         )
     return SystemReport(
         valid,
-        tuple(product_failures),
+        product_failures,
         kernel_failures_a,
         kernel_failures_b,
         a_sizes,
@@ -528,17 +527,7 @@ def system_for_decomposition(
         raise SystemMismatch(
             f"need {len(om.orbits)} A-sets and {len(on.orbits)} B-sets"
         )
-    return FactorizationSystem(
-        cp.z,
-        tuple(o.stabilizer for o in om.orbits),
-        tuple(o.stabilizer for o in on.orbits),
-        tuple(a_sets),
-        tuple(b_sets),
-    )
-
-
-def _default_choices(action: ZActionData) -> tuple:
-    return tuple(o.classes[0] for o in action.orbits)
+    return FactorizationSystem(cp.z, om.stabilizers, on.stabilizers, tuple(a_sets), tuple(b_sets))
 
 
 def construct_from_system(
@@ -550,20 +539,24 @@ def construct_from_system(
     """Assemble X = union of A_i C_i and Y = union of B_j D_j and certify.
 
     The system must be indexed by the Z-orbits on the classes inside M and N
-    with the orbit stabilizers as its subgroups; `choices` picks one class
-    per orbit (defaults to the minimal class index).
+    with the orbit stabilizers as its subgroups, compared by mask with the
+    decomposition's cached stabilizer masks (a subgroup of another table is
+    then refused by the system check); `choices` picks one class per orbit
+    (defaults to the minimal class index).  check_factorization_system runs
+    each test once per distinct mask or pair of masks and skips the
+    separation product for H = {1}.  As A_i is central, A_i C_i is the union
+    of the translates c A_i, c in C_i.  The result is certified by a whole
+    verify_main_theorem, which computes its own M, N, slices and condition
+    (b) and takes nothing from the system check.
     """
     om, on = cp.m_orbits, cp.n_orbits
     if sys.z.group is not G or sys.z.mask != cp.z.mask:
         raise SystemMismatch("system is not over this decomposition's Z")
     if len(sys.a_sets) != len(om.orbits) or len(sys.b_sets) != len(on.orbits):
         raise SystemMismatch("system index sets do not match the orbit counts")
-    for got, orbit in zip(sys.m_subgroups, om.orbits):
-        if got.mask != orbit.stabilizer.mask:
-            raise SystemMismatch("M_i differs from its orbit stabilizer")
-    for got, orbit in zip(sys.n_subgroups, on.orbits):
-        if got.mask != orbit.stabilizer.mask:
-            raise SystemMismatch("N_j differs from its orbit stabilizer")
+    for name, subgroups, action in (("M_i", sys.m_subgroups, om), ("N_j", sys.n_subgroups, on)):
+        if any(got.mask != want for got, want in zip(subgroups, action.stabilizer_masks)):
+            raise SystemMismatch(f"{name} differs from its orbit stabilizer")
     report = check_factorization_system(sys)
     if not report.valid:
         raise SystemMismatch(
@@ -573,17 +566,21 @@ def construct_from_system(
         )
 
     part = conjugacy_classes(G)
-    x_choices = choices[0] if choices else _default_choices(om)
-    y_choices = choices[1] if choices else _default_choices(on)
+    x_choices = choices[0] if choices else om.first_classes
+    y_choices = choices[1] if choices else on.first_classes
     if len(x_choices) != len(om.orbits) or len(y_choices) != len(on.orbits):
         raise InvalidChoice("one class choice per orbit is required")
 
     def assemble(action, sets, picked):
-        total = 0
+        mult, total = G.mult, 0
         for orbit, s, c in zip(action.orbits, sets, picked):
             if c not in orbit.classes:
                 raise InvalidChoice(f"class {c} is not in orbit {orbit.classes}")
-            total |= _product_mask(G, s.mask, part.class_mask(c))
+            cmask = part.class_mask(c)
+            while cmask:
+                low = cmask & -cmask
+                total |= _image(mult[low.bit_length() - 1], s.mask)
+                cmask ^= low
         return Subset(G, total)
 
     X = assemble(om, sys.a_sets, x_choices)
@@ -617,7 +614,7 @@ def derive_system(G: GroupTable, f: SetDirectFactorization):
         tuple(_slices(G, cp.m, f.x.mask, cp.z, om).values()),
         tuple(_slices(G, cp.n, f.y.mask, cp.z, on).values()),
     )
-    choices = (_default_choices(om), _default_choices(on))
+    choices = (om.first_classes, on.first_classes)
     return cp, sys, choices
 
 

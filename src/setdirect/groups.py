@@ -6,15 +6,15 @@ them: the one result type of the constructions and of the oracle, kept here
 so that neither route imports the other's module.  The table, partitions,
 subsets and pairs never change after construction.  What a table derives
 from itself alone is a cached_property of it: a generating set, whether it
-is abelian, the classes (and, cached on their partition, the mask of class
-leaders and the mask of classes of more than one element), the centre, the
-label index, the memo of subgroup joins <H, g> keyed by a subgroup mask and
-an element, and the memo of central-product checks keyed by a pair of
-subgroup masks.  Each is computed on first use and gives the same result on
-every use, so every operation in this module is a pure function of its
-inputs; the two memos hold at most _MEMO_HELD entries each.  Every
-subgroup closure, the table's generating set included, is grown by one
-greedy walk, _generators.
+is abelian, the classes (and, cached on their partition, their sizes, the
+mask of class leaders and the mask of classes of more than one element),
+the centre, the label index, the memo of subgroup joins <H, g> keyed by a
+subgroup mask and an element, and the memo of central-product checks keyed
+by a pair of subgroup masks.  Each is computed on first use and gives the
+same result on every use, so every operation in this module is a pure
+function of its inputs; the two memos hold at most _MEMO_HELD entries each.
+Every subgroup closure, the table's generating set included, is grown by
+one greedy walk, _generators.
 """
 
 from __future__ import annotations
@@ -349,10 +349,10 @@ _set_group, _set_x, _set_y, _set_certified = (
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Conjugacy classes of a group, ordered by minimal member, with two
-    masks computed on first use and kept: `leaders`, the minimal member of
-    each class, and `noncentral`, the union of the classes of more than
-    one element."""
+    """Conjugacy classes of a group, ordered by minimal member, with the
+    class sizes and two masks computed on first use and kept: `leaders`,
+    the minimal member of each class, and `noncentral`, the union of the
+    classes of more than one element."""
 
     group: GroupTable
     classes: tuple
@@ -365,7 +365,12 @@ class ClassPartition:
         return self.classes[i].mask
 
     def sizes(self) -> tuple:
-        return tuple(len(c) for c in self.classes)
+        return self._sizes
+
+    @cached_property
+    def _sizes(self) -> tuple:
+        """The class sizes, in class order, computed once per partition."""
+        return tuple(c.mask.bit_count() for c in self.classes)
 
     @cached_property
     def leaders(self) -> int:
@@ -754,8 +759,17 @@ def center(G: GroupTable) -> Subset:
     return Subset(G, G._center_mask)
 
 
+def _check_subsets(G: GroupTable, *subsets: Subset) -> None:
+    """Raise ForeignSubset unless every subset is one of G's own: a mask of
+    another table would be read against G's rows unchecked."""
+    for S in subsets:
+        if S.group is not G:
+            raise ForeignSubset("subset belongs to a different group")
+
+
 def generated_subgroup(G: GroupTable, S: Subset) -> Subset:
     """Smallest subgroup containing S, by closure iteration."""
+    _check_subsets(G, S)
     if not S.mask:
         raise EmptyGeneratingSet("cannot generate from the empty set")
     return Subset(G, _closure_mask(G, S.mask))
@@ -763,6 +777,7 @@ def generated_subgroup(G: GroupTable, S: Subset) -> Subset:
 
 def commutator_set(G: GroupTable, A: Subset, B: Subset) -> Subset:
     """The set {a^-1 b^-1 a b : a in A, b in B} (a set, not a subgroup)."""
+    _check_subsets(G, A, B)
     if not A.mask or not B.mask:
         raise EmptySet("commutator set of an empty subset")
     mult, inv = G.mult, G.inv
@@ -783,8 +798,7 @@ def is_normal_subset(G: GroupTable, S: Subset) -> bool:
     its own.  On an abelian group there is no walk at all.  A subset of
     another table raises ForeignSubset.
     """
-    if S.group is not G:
-        raise ForeignSubset("subset belongs to a different group")
+    _check_subsets(G, S)
     part = conjugacy_classes(G)
     mask = S.mask
     rest = mask & part.noncentral
@@ -799,6 +813,7 @@ def is_normal_subset(G: GroupTable, S: Subset) -> bool:
 
 def set_product(G: GroupTable, A: Subset, B: Subset):
     """Product set AB plus, per element, the number of (a, b) pairs hitting it."""
+    _check_subsets(G, A, B)
     mult = G.mult
     counts: dict = {}
     bmem = B.members()
@@ -812,6 +827,7 @@ def set_product(G: GroupTable, A: Subset, B: Subset):
 
 def left_cosets(G: GroupTable, H: Subset):
     """Left cosets of a subgroup: (representatives, coset_of index array)."""
+    _check_subsets(G, H)
     if not _is_subgroup_mask(G, H.mask):
         raise NotSubgroup("coset decomposition needs a subgroup")
     return _left_cosets(G, H.mask)
@@ -837,6 +853,7 @@ def quotient_group(G: GroupTable, K: Subset) -> GroupTable:
 
     Element i of the quotient is the coset numbered i by left_cosets(G, K).
     """
+    _check_subsets(G, K)
     if not _is_subgroup_mask(G, K.mask):
         raise NotNormalSubgroup("kernel is not a subgroup")
     if not is_normal_subset(G, K):
@@ -872,8 +889,7 @@ class SubgroupView:
 
     def pull(self, S: Subset) -> Subset:
         """Map a parent subset contained in the viewed subgroup into the view."""
-        if S.group is not self.parent:
-            raise ForeignSubset("subset belongs to a different group")
+        _check_subsets(self.parent, S)
         index = self._index
         try:
             return self.table.subset(index[x] for x in bits(S.mask))
@@ -882,13 +898,13 @@ class SubgroupView:
 
     def push(self, S: Subset) -> Subset:
         """Map a view subset back into the parent group."""
-        if S.group is not self.table:
-            raise ForeignSubset("subset belongs to a different group")
+        _check_subsets(self.table, S)
         return self.parent.subset(self.to_parent[i] for i in bits(S.mask))
 
 
 def subgroup_view(G: GroupTable, H: Subset) -> SubgroupView:
     """Re-wrap a subgroup as a standalone GroupTable (identity first)."""
+    _check_subsets(G, H)
     if not _is_subgroup_mask(G, H.mask):
         raise NotSubgroup("view requires a subgroup")
     members = [G.identity] + [x for x in bits(H.mask) if x != G.identity]

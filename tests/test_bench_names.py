@@ -9,6 +9,8 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -61,22 +63,36 @@ def test_workload_names_resolve():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
-def test_traced_spans_cover_the_oracle_operations(monkeypatch, tmp_path):
-    # a traced run fails when the outermost spans cover less than
-    # MIN_TOP_SPAN_FRAC of the operation time; in oracle_abelian the part of
-    # an operation outside enumerate_setdirect's span is the read of its
-    # listing, which --smoke's small slice keeps too short to matter; C16's
-    # full listing reads 4 624 pairs after a short search and expansion, so
-    # its share outside the span is the largest (spans cover 0.957 of it,
-    # 2-vCPU host)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from tracer import Tracer
-    from workloads import oracle_abelian
-
+def _oracle_ops(workloads, tmp_path):
+    # in oracle_abelian the part of an operation outside enumerate_setdirect's
+    # span is the read of its listing, which --smoke's small slice keeps too
+    # short to matter; C16's full listing reads 4 624 pairs after a short
+    # search and expansion, so its share outside the span is the largest
+    # (spans cover 0.957 of it, 2-vCPU host)
     wanted = ("oracle C24 normalized", "oracle C28 normalized", "oracle C16 full")
-    ops = [fn for label, fn in oracle_abelian(random.Random(0), tmp_path, False).ops
+    ops = [fn for label, fn in workloads.oracle_abelian(random.Random(0), tmp_path, False).ops
            if label in wanted]
     assert len(ops) == len(wanted)
+    return ops
+
+
+def _roundtrip_ops(workloads, tmp_path):
+    # each round trip is a derive_system and a construct_from_system span;
+    # the first 600 of a full pass cover 0.979 of it (2-vCPU host)
+    ops = workloads.roundtrip(random.Random(0), tmp_path, False).ops[:600]
+    assert len(ops) == 600
+    return [fn for _, fn in ops]
+
+
+@pytest.mark.parametrize("slice_of", [_oracle_ops, _roundtrip_ops], ids=["oracle", "roundtrip"])
+def test_traced_spans_cover_the_oracle_operations(slice_of, monkeypatch, tmp_path):
+    # a traced run fails when the outermost spans cover less than
+    # MIN_TOP_SPAN_FRAC of the operation time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from tracer import Tracer
+
+    ops = slice_of(workloads, tmp_path)
     tracer, best = Tracer(), 0.0
     for _ in range(3):
         tracer.install()

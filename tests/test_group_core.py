@@ -37,7 +37,13 @@ from setdirect.errors import (
     NotNormalSubgroup,
     OrderLimitExceeded,
 )
-from setdirect.central import class_stabilizer, normal_subgroups
+from setdirect.central import (
+    class_count_report,
+    class_stabilizer,
+    normal_subgroups,
+    z_bracket,
+    z_orbits,
+)
 from setdirect.factor import SetDirectFactorization
 from setdirect.groups import (
     MAX_ORDER,
@@ -703,6 +709,40 @@ class TestNormalSubsets:
                 assert is_normal_subset(g, Subset(g, mask)) == want, mask
                 seen.add(want)
         assert seen == ({True} if g.is_abelian else {True, False})
+
+
+# each exported function that takes a subset, called on G = C4 with the
+# subset `s` of another table in one argument and G's own sets elsewhere
+FOREIGN_CALLS = {
+    "generated_subgroup": lambda g, s: generated_subgroup(g, s),
+    "set_product left": lambda g, s: set_product(g, s, g.full_subset()),
+    "set_product right": lambda g, s: set_product(g, g.full_subset(), s),
+    "commutator_set left": lambda g, s: commutator_set(g, s, g.full_subset()),
+    "commutator_set right": lambda g, s: commutator_set(g, g.full_subset(), s),
+    "left_cosets": lambda g, s: left_cosets(g, s),
+    "subgroup_view": lambda g, s: subgroup_view(g, s),
+    "quotient_group": lambda g, s: quotient_group(g, s),
+    "z_orbits N": lambda g, s: z_orbits(g, s, g.subset([0, 2])),
+    "z_orbits Z": lambda g, s: z_orbits(g, g.full_subset(), s),
+    "class_stabilizer": lambda g, s: class_stabilizer(g, 1, s),
+    "z_bracket K": lambda g, s: z_bracket(g, s, g.subset([0, 2])),
+    "z_bracket Z": lambda g, s: z_bracket(g, g.full_subset(), s),
+    "class_count_report": lambda g, s: class_count_report(g, s),
+}
+
+
+@pytest.mark.parametrize("call", list(FOREIGN_CALLS))
+@pytest.mark.parametrize("table, members", [(lambda: cyclic(8), [0, 4]),
+                                            (lambda: cyclic(4), [0, 2])],
+                         ids=["larger table", "twin table"])
+def test_a_subset_of_another_table_is_refused(call, table, members):
+    # a subset of C8 read against C4's rows ended in an IndexError, and one
+    # of a second C4 table was taken as if it were G's
+    g = cyclic(4)
+    other = table()
+    assert other is not g
+    with pytest.raises(ForeignSubset, match="different group"):
+        FOREIGN_CALLS[call](g, other.subset(members))
 
 
 class TestSetProduct:

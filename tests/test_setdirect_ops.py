@@ -520,6 +520,28 @@ class TestFactorizationSystems:
             system_for_decomposition(other, cp, [g.subset([0, 2])], [g.subset([0, 1])])
         assert system_for_decomposition(g, cp, [g.subset([0, 2])], [g.subset([0, 1])]).z is cp.z
 
+    def test_failures_are_listed_at_every_index(self):
+        # each distinct mask and pair of masks is tested once, but a failure
+        # is listed at every index it occupies, repeats included, in order:
+        # A = {0, 1} fails Z = A x B at i = 1, 2, 4, and the kernel pairs
+        # (M, A) = ({0, 2}, {0, 1}) at i = 1, 4 and (N, B) = ({0, 2}, {0, 1})
+        # at j = 0, 2
+        z = cyclic(4)
+        one, half, low = z.identity_subset(), z.subset([0, 2]), z.subset([0, 1])
+        sys_ = FactorizationSystem(
+            z.full_subset(),
+            (one, half, one, one, half),
+            (half, one, half),
+            (half, low, low, half, low),
+            (low, low, low),
+        )
+        rep = check_factorization_system(sys_)
+        assert not rep.valid
+        assert rep.product_failures == tuple((i, j) for i in (1, 2, 4) for j in range(3))
+        assert rep.kernel_failures_a == (1, 4)
+        assert rep.kernel_failures_b == (0, 2)
+        assert (rep.a_sizes, rep.b_sizes) == ((2,) * 5, (2,) * 3)
+
     def test_rejects_a_non_abelian_z(self):
         g = symmetric(3)
         one = g.identity_subset()
@@ -737,6 +759,33 @@ class TestConstructFromSystem:
         assert check_factorization_system(sys_).valid
         with pytest.raises(SystemMismatch, match="M_i differs"):
             construct_from_system(g, cp, sys_)
+
+
+    @pytest.mark.parametrize("name", ["C12", "Q8oC4"])
+    def test_the_final_verifier_runs_whole(self, name, monkeypatch):
+        # the construction's cross-check computes its own M, N, slices and
+        # condition (b): one verifier call on the rebuilt masks, and its two
+        # slice reads, with nothing handed over from the system check
+        G = catalog_group(name)
+        f = enumerate_setdirect(G, normalized_only=True).factorizations[-1]
+        cp, sys_, choices = derive_system(G, f)
+        verified, sliced = [], []
+        real_verify, real_slices = factor.verify_main_theorem, factor._slices
+
+        def verify(G, X, Y):
+            verified.append((X.mask, Y.mask))
+            return real_verify(G, X, Y)
+
+        def slices(G, subgroup, part_mask, Z, action):
+            sliced.append(part_mask)
+            return real_slices(G, subgroup, part_mask, Z, action)
+
+        monkeypatch.setattr(factor, "verify_main_theorem", verify)
+        monkeypatch.setattr(factor, "_slices", slices)
+        rebuilt = construct_from_system(G, cp, sys_, choices)
+        assert (rebuilt.x.mask, rebuilt.y.mask) == (f.x.mask, f.y.mask)
+        assert verified == [(f.x.mask, f.y.mask)]
+        assert sliced == [f.x.mask, f.y.mask]
 
 
 class TestTransversal:
