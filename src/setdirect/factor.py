@@ -257,8 +257,8 @@ def _slices(
         from_x = part_mask.bit_count() < zm.bit_count()
         zmem = () if from_x else Z.members()
         classes = part.classes
-        for c in action.first_classes:
-            cmask = classes[c].mask
+        for orbit in action.orbits:
+            cmask = classes[orbit.classes[0]].mask
             m = (cmask & -cmask).bit_length() - 1
             if from_x:
                 smask = _image(G.mult[inv[m]], part_mask) & zm

@@ -769,7 +769,8 @@ def _check_subsets(G: GroupTable, *subsets: Subset) -> None:
 
 def generated_subgroup(G: GroupTable, S: Subset) -> Subset:
     """Smallest subgroup containing S, by closure iteration."""
-    _check_subsets(G, S)
+    if S.group is not G:  # inline, as the verifier calls this twice per pair
+        raise ForeignSubset("subset belongs to a different group")
     if not S.mask:
         raise EmptyGeneratingSet("cannot generate from the empty set")
     return Subset(G, _closure_mask(G, S.mask))
@@ -798,7 +799,8 @@ def is_normal_subset(G: GroupTable, S: Subset) -> bool:
     its own.  On an abelian group there is no walk at all.  A subset of
     another table raises ForeignSubset.
     """
-    _check_subsets(G, S)
+    if S.group is not G:  # inline, as every directness test calls this twice
+        raise ForeignSubset("subset belongs to a different group")
     part = conjugacy_classes(G)
     mask = S.mask
     rest = mask & part.noncentral
