@@ -369,7 +369,6 @@ class ClassPartition:
 
     @cached_property
     def _sizes(self) -> tuple:
-        """The class sizes, in class order, computed once per partition."""
         return tuple(c.mask.bit_count() for c in self.classes)
 
     @cached_property
